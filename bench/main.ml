@@ -628,7 +628,7 @@ let micro cfg =
   let bench_heap =
     Test.make ~name:"event_heap_push_pop_1k"
       (Staged.stage (fun () ->
-           let h = Event_heap.create () in
+           let h = Event_heap.create ~filler:0 in
            for i = 0 to 999 do
              Event_heap.push h ~time:(float_of_int ((i * 7919) mod 997)) i
            done;
@@ -646,7 +646,7 @@ let micro cfg =
   in
   let bench_walk =
     let sim = Sim.create ~seed:cfg.seed () in
-    let net = Bgp_net.create sim t ~dest () in
+    let net = Bgp_net.create sim t ~dest Engine.default_config in
     Bgp_net.start net;
     Sim.run sim;
     Test.make ~name:"forwarding_walk_all_ases"

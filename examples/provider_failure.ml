@@ -56,13 +56,14 @@ let () =
         let fail, probe =
           match (proto : Runner.protocol) with
           | Bgp ->
-            let net = Bgp_net.create sim topo ~dest () in
+            let net = Bgp_net.create sim topo ~dest Engine.default_config in
             Bgp_net.start net;
             Sim.run sim;
             (Bgp_net.fail_link net, fun () -> Bgp_net.walk_all net)
           | Rbgp | Rbgp_no_rci ->
             let net =
-              Rbgp_net.create sim topo ~dest ~rci:(proto = Runner.Rbgp) ()
+              Rbgp_net.create ~rci:(proto = Runner.Rbgp) sim topo ~dest
+                Engine.default_config
             in
             Rbgp_net.start net;
             Sim.run sim;
@@ -71,7 +72,9 @@ let () =
             let coloring =
               Coloring.create Coloring.Random_choice ~seed topo ~dest
             in
-            let net = Stamp_net.create sim topo ~dest ~coloring () in
+            let net =
+              Stamp_net.create sim topo ~dest ~coloring Engine.default_config
+            in
             Stamp_net.start net;
             Sim.run sim;
             (Stamp_net.fail_link net, fun () -> Stamp_net.walk_all net)

@@ -37,7 +37,9 @@ let () =
   let dest = Option.get (Topology.vertex_of_asn topo 3) in
   let sim = Sim.create ~seed:7 () in
   let coloring = Coloring.create Coloring.Random_choice ~seed:7 topo ~dest in
-  let net = Stamp_net.create sim topo ~dest ~coloring () in
+  let net =
+    Stamp_net.create sim topo ~dest ~coloring Engine.default_config
+  in
   Stamp_net.start net;
   Sim.run sim;
   Format.printf "converged after %d events, %d update messages@.@."
@@ -70,7 +72,7 @@ let () =
   (* 5. For comparison: plain BGP in the same scenario blackholes AS 10
      until withdrawals and re-announcements crawl through the network. *)
   let sim' = Sim.create ~seed:7 () in
-  let bgp = Bgp_net.create sim' topo ~dest () in
+  let bgp = Bgp_net.create sim' topo ~dest Engine.default_config in
   Bgp_net.start bgp;
   Sim.run sim';
   Bgp_net.fail_link bgp dest p1;

@@ -181,8 +181,8 @@ let partial_deployment_dynamic ?pool ?(instances = 10) ?(seed = 1)
   let counts =
     pmap ?pool
       (fun (k, i, spec) ->
-        (Runner.run_hybrid ~seed:(seed + i) ~mrai_base
-           ~deployed:(fun v -> tiers.(v) <= k)
+        (Runner.run_engine ~seed:(seed + i) ~mrai_base
+           (Hybrid_net.engine ~deployed:(fun v -> tiers.(v) <= k) ())
            topo spec)
           .Runner.transient_count)
       jobs
@@ -226,14 +226,19 @@ let ablation_stamp_variants ?pool ?(instances = 15) ?(seed = 1) topo =
   let variants =
     [
       ( "baseline (lock-only blue, random colouring)",
-        fun ~seed spec -> Runner.run_stamp ~seed topo spec );
+        fun ~seed spec ->
+          Runner.run_engine ~seed Stamp_engine.default topo spec );
       ( "spread unlocked blue to providers",
         fun ~seed spec ->
-          Runner.run_stamp ~seed ~spread_unlocked_blue:true topo spec );
+          Runner.run_engine ~seed
+            (Stamp_engine.make ~spread_unlocked_blue:true ())
+            topo spec );
       ( "intelligent locked-blue colouring",
         fun ~seed spec ->
-          Runner.run_stamp ~seed
-            ~strategy:(Coloring.Intelligent { samples = 30 })
+          Runner.run_engine ~seed
+            (Stamp_engine.make
+               ~strategy:(Coloring.Intelligent { samples = 30 })
+               ())
             topo spec );
     ]
   in

@@ -9,9 +9,9 @@ let protocol_name = function
   | Stamp -> "STAMP"
 
 let engine_of_protocol : protocol -> (module Engine.S) = function
-  | Bgp -> Bgp_engine.engine
-  | Rbgp_no_rci -> Rbgp_engine.no_rci
-  | Rbgp -> Rbgp_engine.rci
+  | Bgp -> (module Bgp_net)
+  | Rbgp_no_rci -> Rbgp_net.no_rci
+  | Rbgp -> Rbgp_net.rci
   | Stamp -> Stamp_engine.default
 
 type budget = { max_events : int; max_vtime : float }
@@ -98,96 +98,25 @@ let status_string = function
   | Fwd_walk.Looped -> "looped"
   | Fwd_walk.Blackholed -> "blackholed"
 
-let measure ~interval ~budget ~trace topo (spec : Scenario.spec) sim net =
-  let engine_id = Engine.name net in
-  let phase name =
-    if Trace.enabled trace then
-      Trace.emit trace ~vtime:(Sim.now sim) ~engine:engine_id ~loc:Trace.Net
-        (Trace.Phase name)
-  in
-  let timeline () =
-    if Trace.readable trace then Some (Timeline.of_events (Trace.events trace))
-    else None
-  in
-  phase "start";
-  Engine.start net;
-  let initial_verdict =
-    Sim.run_guarded sim ~until:budget.max_vtime ~max_events:budget.max_events
-  in
-  let messages_initial = Engine.message_count net in
-  let event_time = Sim.now sim in
-  match initial_verdict with
-  | Sim.Event_budget_exhausted | Sim.Time_budget_exhausted ->
-    (* initial convergence never finished: report what we can see and let
-       the verdict flag the row — the sweep goes on *)
-    let final = Engine.probe net in
-    let broken =
-      Array.fold_left
-        (fun acc s ->
-          if Fwd_walk.equal_status s Fwd_walk.Delivered then acc else acc + 1)
-        0 final
-    in
-    phase "final";
-    {
-      transient_count = 0;
-      broken_after = broken;
-      convergence_delay = 0.;
-      recovery_delay = 0.;
-      messages_initial;
-      messages_event = 0;
-      checkpoints = 1;
-      counters = Counters.snapshot (Engine.counters net);
-      verdict = initial_verdict;
-      diagnostics = [];
-      certificate = None;
-      timeline = timeline ();
-    }
-  | Sim.Converged ->
-    phase "initial-converged";
-    List.iter (inject ~trace topo net sim) spec.events;
-    phase "events-injected";
-    let on_status =
-      if Trace.enabled trace then
-        Some
-          (fun ~changed v s ->
-            Trace.emit trace ~vtime:(Sim.now sim) ~engine:engine_id
-              ~loc:(Trace.Node (Topology.asn topo v))
-              (Trace.Status { status = status_string s; changed }))
-      else None
-    in
-    let remaining_events = budget.max_events - Sim.events_processed sim in
-    let outcome, verdict =
-      Transient.run_guarded sim ~interval ~max_events:(max 1 remaining_events)
-        ~max_vtime:(event_time +. budget.max_vtime)
-        ?on_status
-        ~probe:(fun () -> Engine.probe net)
-        ()
-    in
-    phase "final";
-    let broken_after =
-      Array.fold_left
-        (fun acc s ->
-          if Fwd_walk.equal_status s Fwd_walk.Delivered then acc else acc + 1)
-        0 outcome.final
-    in
-    {
-      transient_count = Transient.transient_count outcome;
-      broken_after;
-      convergence_delay = Float.max 0. (Engine.last_change net -. event_time);
-      recovery_delay = Float.max 0. (outcome.last_status_change -. event_time);
-      messages_initial;
-      messages_event = Engine.message_count net - messages_initial;
-      checkpoints = outcome.checkpoints;
-      counters = Counters.snapshot (Engine.counters net);
-      verdict;
-      diagnostics = [];
-      certificate = None;
-      timeline = timeline ();
-    }
+let phase ~trace sim net name =
+  if Trace.enabled trace then
+    Trace.emit trace ~vtime:(Sim.now sim) ~engine:(Engine.name net)
+      ~loc:Trace.Net (Trace.Phase name)
 
-let run_engine ?(seed = 0) ?(mrai_base = 30.) ?(interval = 0.02)
-    ?(detect_delay = 0.) ?(budget = default_budget) ?(validate = `Warn)
-    ?(trace = Trace.null) engine topo (spec : Scenario.spec) =
+type prepared = {
+  sim : Sim.t;
+  net : Engine.instance;
+  initial_verdict : Sim.verdict;
+  messages_initial : int;
+  event_time : float;
+  diagnostics : Diagnostic.t list;
+  certificate : Staticcheck.certificate option;
+}
+
+(* The prefix every entry point shares: validate, create, converge and —
+   only if initial convergence finished — inject the scenario's events. *)
+let prepare ~seed ~mrai_base ~detect_delay ~budget ~validate ~trace engine topo
+    (spec : Scenario.spec) =
   let detect_delay =
     match spec.detect_delay with Some d -> d | None -> detect_delay
   in
@@ -196,55 +125,117 @@ let run_engine ?(seed = 0) ?(mrai_base = 30.) ?(interval = 0.02)
   in
   let sim = Sim.create ~seed () in
   let config =
-    { Engine.default_config with seed; mrai_base; detect_delay; trace }
+    { Engine.seed; mrai_base; detect_delay; trace }
   in
   let net = Engine.create engine sim topo ~dest:spec.dest config in
+  phase ~trace sim net "start";
+  Engine.start net;
+  let initial_verdict =
+    Sim.run_guarded sim ~until:budget.max_vtime ~max_events:budget.max_events
+  in
+  let messages_initial = Engine.message_count net in
+  let event_time = Sim.now sim in
+  if Sim.equal_verdict initial_verdict Sim.Converged then begin
+    phase ~trace sim net "initial-converged";
+    List.iter (inject ~trace topo net sim) spec.events;
+    phase ~trace sim net "events-injected"
+  end;
   {
-    (measure ~interval ~budget ~trace topo spec sim net) with
+    sim;
+    net;
+    initial_verdict;
+    messages_initial;
+    event_time;
     diagnostics;
     certificate;
   }
+
+let count_broken statuses =
+  Array.fold_left
+    (fun acc s ->
+      if Fwd_walk.equal_status s Fwd_walk.Delivered then acc else acc + 1)
+    0 statuses
+
+let measure ~interval ~budget ~trace topo p =
+  let { sim; net; messages_initial; event_time; _ } = p in
+  let transient_count, final, checkpoints, last_status_change, verdict =
+    match p.initial_verdict with
+    | Sim.Event_budget_exhausted | Sim.Time_budget_exhausted ->
+      (* initial convergence never finished: report what we can see and let
+         the verdict flag the row — the sweep goes on (the event-phase
+         fields come out zero) *)
+      (0, Engine.probe net, 1, event_time, p.initial_verdict)
+    | Sim.Converged ->
+      let on_status =
+        if Trace.enabled trace then
+          Some
+            (fun ~changed v s ->
+              Trace.emit trace ~vtime:(Sim.now sim) ~engine:(Engine.name net)
+                ~loc:(Trace.Node (Topology.asn topo v))
+                (Trace.Status { status = status_string s; changed }))
+        else None
+      in
+      let remaining_events = budget.max_events - Sim.events_processed sim in
+      let outcome, verdict =
+        Transient.run_guarded sim ~interval ~max_events:(max 1 remaining_events)
+          ~max_vtime:(event_time +. budget.max_vtime)
+          ?on_status
+          ~probe:(fun () -> Engine.probe net)
+          ()
+      in
+      ( Transient.transient_count outcome,
+        outcome.final,
+        outcome.checkpoints,
+        outcome.last_status_change,
+        verdict )
+  in
+  phase ~trace sim net "final";
+  {
+    transient_count;
+    broken_after = count_broken final;
+    convergence_delay = Float.max 0. (Engine.last_change net -. event_time);
+    recovery_delay = Float.max 0. (last_status_change -. event_time);
+    messages_initial;
+    messages_event = Engine.message_count net - messages_initial;
+    checkpoints;
+    counters = Counters.snapshot (Engine.counters net);
+    verdict;
+    diagnostics = p.diagnostics;
+    certificate = p.certificate;
+    timeline =
+      (if Trace.readable trace then
+         Some (Timeline.of_events (Trace.events trace))
+       else None);
+  }
+
+let run_engine ?(seed = 0) ?(mrai_base = 30.) ?(interval = 0.02)
+    ?(detect_delay = 0.) ?(budget = default_budget) ?(validate = `Warn)
+    ?(trace = Trace.null) engine topo spec =
+  prepare ~seed ~mrai_base ~detect_delay ~budget ~validate ~trace engine topo
+    spec
+  |> measure ~interval ~budget ~trace topo
 
 let run ?seed ?mrai_base ?interval ?detect_delay ?budget ?validate ?trace
     protocol topo spec =
   run_engine ?seed ?mrai_base ?interval ?detect_delay ?budget ?validate ?trace
     (engine_of_protocol protocol) topo spec
 
-let run_stamp ?seed ?mrai_base ?interval ?detect_delay
-    ?(spread_unlocked_blue = false) ?(strategy = Coloring.Random_choice)
-    ?budget ?validate ?trace topo spec =
-  run_engine ?seed ?mrai_base ?interval ?detect_delay ?budget ?validate ?trace
-    (Stamp_engine.make ~spread_unlocked_blue ~strategy ())
-    topo spec
-
-let run_hybrid ?seed ?mrai_base ?interval ?detect_delay ?budget ?validate
-    ?trace ~deployed topo spec =
-  run_engine ?seed ?mrai_base ?interval ?detect_delay ?budget ?validate ?trace
-    (Hybrid_engine.make ~deployed ())
-    topo spec
-
 let run_traffic ?(seed = 0) ?(mrai_base = 30.) ?(interval = 0.02)
     ?(detect_delay = 0.) ?(budget = default_budget) ?(validate = `Warn)
-    protocol topo (spec : Scenario.spec) =
-  let detect_delay =
-    match spec.detect_delay with Some d -> d | None -> detect_delay
+    protocol topo spec =
+  let p =
+    prepare ~seed ~mrai_base ~detect_delay ~budget ~validate ~trace:Trace.null
+      (engine_of_protocol protocol) topo spec
   in
-  let (_ : Diagnostic.t list * Staticcheck.certificate option) =
-    validate_spec ~validate ~mrai_base ~detect_delay topo spec
-  in
-  let sim = Sim.create ~seed () in
-  let config = { Engine.default_config with seed; mrai_base; detect_delay } in
-  let net =
-    Engine.create (engine_of_protocol protocol) sim topo ~dest:spec.dest config
-  in
-  Engine.start net;
-  ignore
-    (Sim.run_guarded sim ~until:budget.max_vtime ~max_events:budget.max_events);
-  let event_time = Sim.now sim in
-  List.iter (inject ~trace:Trace.null topo net sim) spec.events;
-  let remaining_events = budget.max_events - Sim.events_processed sim in
-  Traffic.observe sim ~interval
-    ~max_events:(max 1 remaining_events)
-    ~max_vtime:(event_time +. budget.max_vtime)
-    ~probe:(fun () -> Engine.probe net)
-    ()
+  match p.initial_verdict with
+  | Sim.Event_budget_exhausted | Sim.Time_budget_exhausted ->
+    (* no event was injected: nothing was observed *)
+    { Traffic.buckets = []; loss_events = 0; loop_events = 0;
+      verdict = p.initial_verdict }
+  | Sim.Converged ->
+    let remaining_events = budget.max_events - Sim.events_processed p.sim in
+    Traffic.observe p.sim ~interval
+      ~max_events:(max 1 remaining_events)
+      ~max_vtime:(p.event_time +. budget.max_vtime)
+      ~probe:(fun () -> Engine.probe p.net)
+      ()

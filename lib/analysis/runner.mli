@@ -129,42 +129,9 @@ val run :
   Scenario.spec ->
   result
 (** {!run_engine} on {!engine_of_protocol}. STAMP uses
-    {!Coloring.Random_choice} seeded from [seed]. *)
-
-val run_stamp :
-  ?seed:int ->
-  ?mrai_base:float ->
-  ?interval:float ->
-  ?detect_delay:float ->
-  ?spread_unlocked_blue:bool ->
-  ?strategy:Coloring.strategy ->
-  ?budget:budget ->
-  ?validate:Staticcheck.validate ->
-  ?trace:Trace.sink ->
-  Topology.t ->
-  Scenario.spec ->
-  result
-(** Like {!run} for STAMP, with the protocol-variant knobs exposed for the
-    ablation benches: unlocked-blue spreading and the locked-blue-provider
-    selection strategy. *)
-
-val run_hybrid :
-  ?seed:int ->
-  ?mrai_base:float ->
-  ?interval:float ->
-  ?detect_delay:float ->
-  ?budget:budget ->
-  ?validate:Staticcheck.validate ->
-  ?trace:Trace.sink ->
-  deployed:(Topology.vertex -> bool) ->
-  Topology.t ->
-  Scenario.spec ->
-  result
-(** Like {!run} for {!Hybrid_net}: STAMP at the ASes satisfying
-    [deployed], plain BGP elsewhere — the dynamic version of the paper's
-    partial-deployment question. Supports the full event vocabulary (node
-    failure/recovery and export policy included), like every other
-    engine. *)
+    {!Coloring.Random_choice} seeded from [seed]; protocol variants (STAMP
+    ablations, the hybrid at a given deployment) go through {!run_engine}
+    with {!Stamp_engine.make} or {!Hybrid_net.engine}. *)
 
 val run_traffic :
   ?seed:int ->
@@ -180,4 +147,6 @@ val run_traffic :
 (** Like {!run} but measure the packet-loss composition during
     reconvergence with {!Traffic.observe} instead of counting affected
     ASes — the paper's Section 1 motivation (loops vs blackholes). The
-    summary's [verdict] reports how the observation ended. *)
+    summary's [verdict] reports how the observation ended; if the budget
+    cut initial convergence, no event is injected and the summary is empty
+    with that verdict. *)

@@ -1,4 +1,6 @@
-(** Event-driven standard-BGP network for a single destination prefix.
+(** Event-driven standard-BGP network for a single destination prefix: the
+    {!Path_vector} skeleton with no hooks, registered in the
+    {!Engine.Registry} under ["BGP"].
 
     One router per AS, one ordered {!Channel} per directed link, delays
     uniform in [10 ms, 20 ms], per-peer MRAI of 30 s × U[0.75, 1.0] applied
@@ -8,70 +10,14 @@
     terminates with a drained event queue.
 
     Failures are injected through {!fail_link} / {!fail_node}; adjacent
-    routers react immediately (session reset: RIB entries from the peer are
-    flushed and in-flight messages on the link are lost). *)
+    routers react after the config's [detect_delay] (session reset: RIB
+    entries from the peer are flushed and in-flight messages on the link
+    are lost). *)
 
 type t
 
-val create :
-  Sim.t ->
-  Topology.t ->
-  dest:Topology.vertex ->
-  ?mrai_base:float ->
-  ?delay_lo:float ->
-  ?delay_hi:float ->
-  ?detect_delay:float ->
-  ?trace:Trace.sink ->
-  unit ->
-  t
-(** Build routers and channels ({!Session_core}). Nothing is announced
-    until {!start}. [trace] (default {!Trace.null}) receives the session
-    substrate's events plus per-router decision changes.
-    [detect_delay] (default 0 — instantaneous detection)
-    postpones the control-plane reaction to every subsequent {!fail_link}
-    while the data plane is already broken. *)
-
-val start : t -> unit
-(** The destination announces its own prefix to all neighbours (time 0 of
-    the experiment). Call exactly once, then {!Sim.run}. *)
-
-val sim : t -> Sim.t
-val topology : t -> Topology.t
-val dest : t -> Topology.vertex
-
-(** {1 Failure injection} — take effect at the current simulation time. *)
-
-val fail_link : t -> Topology.vertex -> Topology.vertex -> unit
-(** Bring a link down: the data plane breaks immediately (packets crossing
-    the link are lost) and, after the [detect_delay] the network was
-    created with, both end routers flush the peer's routes and withdraw /
-    re-advertise as needed. In-flight messages on the link are lost.
-    @raise Invalid_argument if the vertices are not adjacent. *)
-
-val recover_link : t -> Topology.vertex -> Topology.vertex -> unit
-(** Bring a link back: the session re-establishes and both sides
-    re-advertise their current best routes. *)
-
-val fail_node : t -> Topology.vertex -> unit
-(** Fail an AS entirely: all its links go down and it stops participating
-    (the paper's single node failure event). *)
-
-val recover_node : t -> Topology.vertex -> unit
-(** Bring a failed AS back: its links come up (except those failed
-    individually), sessions re-establish and neighbours re-announce; the
-    returning router restarts with empty RIBs (and re-originates if it is
-    the destination). *)
-
-val deny_export : t -> Topology.vertex -> Topology.vertex -> unit
-(** Policy change: the first AS stops exporting routes to the second (an
-    immediate withdrawal follows if something was advertised) — the
-    paper's route-withdrawal event without any physical failure; the link
-    stays up for whatever still uses it. *)
-
-val allow_export : t -> Topology.vertex -> Topology.vertex -> unit
-(** Revert {!deny_export}: a route addition event (Lemma 3.1). *)
-
-(** {1 Observation} *)
+include Engine.S with type t := t
+(** [probe] is {!walk_all}. *)
 
 val best : t -> Topology.vertex -> Route.t option
 (** Current best route of an AS ([Some Route.origin] at the destination). *)
@@ -86,16 +32,3 @@ val walk_all : t -> Fwd_walk.status array
 (** Forwarding-plane status of every AS right now: each AS forwards along
     its current best route; a hop over a failed link or into a failed node
     drops the packet. *)
-
-val message_count : t -> int
-(** Total update messages (announcements + withdrawals) sent so far. *)
-
-val last_change : t -> float
-(** Simulation time of the most recent best-route change anywhere
-    (0. if none): the convergence instant once the queue drains. *)
-
-val route_changes : t -> int
-(** Total number of best-route changes across all routers. *)
-
-val counters : t -> Counters.t
-(** The engine's live {!Session_core} update counters. *)

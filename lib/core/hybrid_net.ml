@@ -1,58 +1,13 @@
-type msg = Announce of Topology.vertex list | Withdraw
-
-type router = {
-  v : Topology.vertex;
+type ext = {
   upgraded : bool;
-  mutable best : Route.t option;
-  mutable backup : Route.t option; (* upgraded only: the blue table *)
-  adj_rib_in : (Topology.vertex, Route.t) Hashtbl.t;
-  rib_out : (Topology.vertex, Topology.vertex list) Hashtbl.t;
-  export_deny : (Topology.vertex, unit) Hashtbl.t;
+  mutable backup : Route.t option;  (** the blue table *)
 }
-
-type t = {
-  core : msg Session_core.t;
-  topo : Topology.t;
-  dest : Topology.vertex;
-  routers : router array;
-}
-
-let sim t = Session_core.sim t.core
-let dest t = t.dest
-let is_deployed t v = t.routers.(v).upgraded
-
-let rel_exn t u v =
-  match Topology.rel t.topo u v with
-  | Some r -> r
-  | None -> invalid_arg "Hybrid_net: vertices not adjacent"
-
-(* --- the plain-BGP control plane (identical to Bgp_net) --------------- *)
-
-let rec advertise_to t r n =
-  let desired =
-    match r.best with
-    | Some b
-      when Route.learned_from b <> Some n
-           && Export.exportable b ~to_rel:(rel_exn t r.v n)
-           && not (Hashtbl.mem r.export_deny n) ->
-      Some (r.v :: b.as_path)
-    | Some _ | None -> None
-  in
-  Session_core.advertise t.core ~src:r.v ~dst:n ~rib_out:r.rib_out ~desired
-    ~announce:(fun p -> Announce p)
-    ~withdraw:(fun () -> Withdraw)
-    ~retry:(fun () -> advertise_to t r n)
-    ()
-
-let advertise_all t r =
-  Array.iter (fun (n, _) -> advertise_to t r n) (Topology.neighbors t.topo r.v)
-
-(* --- the blue table ---------------------------------------------------- *)
 
 (* The RIB alternate most downhill-disjoint from the best route. *)
-let recompute_backup t r =
-  if r.upgraded then
-    r.backup <-
+let recompute_backup (t : (ext, _, _) Path_vector.net)
+    (r : ext Path_vector.router) =
+  if r.ext.upgraded then
+    r.ext.backup <-
       (match r.best with
       | None -> None
       | Some best -> begin
@@ -82,154 +37,35 @@ let recompute_backup t r =
           r.adj_rib_in None
       end)
 
-let recompute t r =
-  let best' =
-    if r.v = t.dest then Some Route.origin else Decision.select_tbl r.adj_rib_in
-  in
-  if best' <> r.best then begin
-    let old_next = Option.bind r.best Route.learned_from in
-    let cause =
-      match (r.best, best') with
-      | _, None -> "route-loss"
-      | None, Some _ -> "route-learned"
-      | Some _, Some _ -> "route-change"
-    in
-    r.best <- best';
-    Session_core.note_decision t.core ~node:r.v ~old_next
-      ~new_next:(Option.bind best' Route.learned_from)
-      ~cause;
-    recompute_backup t r;
-    advertise_all t r
-  end
-  else recompute_backup t r
+(* The control plane is plain BGP; the blue table is refreshed after every
+   decision and cleared with the router. *)
+include Path_vector.Make (struct
+  include Path_vector.Plain
 
-let receive t r ~from msg =
-  if Session_core.node_up t.core r.v then begin
-    (match msg with
-    | Announce path ->
-      if List.mem r.v path then Hashtbl.remove r.adj_rib_in from
-      else
-        Hashtbl.replace r.adj_rib_in from
-          { Route.as_path = path; cls = rel_exn t r.v from }
-    | Withdraw -> Hashtbl.remove r.adj_rib_in from);
-    recompute t r
-  end
+  type nonrec ext = ext
+  type params = Topology.vertex -> bool
 
-(* --- construction ------------------------------------------------------ *)
+  let who = "Hybrid_net"
+  let init deployed v = { upgraded = deployed v; backup = None }
+  let decided t r ~old:_ = recompute_backup t r
+  let reset (r : ext Path_vector.router) = r.ext.backup <- None
+end)
 
-let create sim topo ~dest ~deployed ?(mrai_base = 30.) ?(delay_lo = 0.010)
-    ?(delay_hi = 0.020) ?(detect_delay = 0.) ?(trace = Trace.null) () =
-  let n = Topology.num_vertices topo in
-  if dest < 0 || dest >= n then invalid_arg "Hybrid_net.create: bad destination";
-  let routers =
-    Array.init n (fun v ->
-        {
-          v;
-          upgraded = deployed v;
-          best = None;
-          backup = None;
-          adj_rib_in = Hashtbl.create 8;
-          rib_out = Hashtbl.create 8;
-          export_deny = Hashtbl.create 2;
-        })
-  in
-  let core =
-    Session_core.create ~mrai_base ~delay_lo ~delay_hi ~detect_delay ~trace
-      ~who:"Hybrid_net" sim topo
-  in
-  let t = { core; topo; dest; routers } in
-  Session_core.on_receive core (fun ~src ~dst msg ->
-      receive t t.routers.(dst) ~from:src msg);
-  t
+let create ~deployed sim topo ~dest config =
+  create deployed sim topo ~dest config
 
-let start t = recompute t t.routers.(t.dest)
+let backup (t : t) v = t.routers.(v).ext.backup
 
-(* --- failures ------------------------------------------------------------ *)
-
-let drop_session t u v =
-  let clear r peer =
-    Hashtbl.remove r.adj_rib_in peer;
-    Hashtbl.remove r.rib_out peer;
-    recompute t r
-  in
-  clear t.routers.(u) v;
-  clear t.routers.(v) u
-
-let fail_link t u v =
-  Session_core.fail_link t.core u v ~react:(fun () -> drop_session t u v)
-
-let recover_link t u v =
-  Session_core.recover_link t.core u v ~react:(fun () ->
-      let clear r peer =
-        Hashtbl.remove r.adj_rib_in peer;
-        Hashtbl.remove r.rib_out peer
-      in
-      clear t.routers.(u) v;
-      clear t.routers.(v) u;
-      (* session re-establishes: each side advertises its current best *)
-      advertise_to t t.routers.(u) v;
-      advertise_to t t.routers.(v) u)
-
-let fail_node t v =
-  Session_core.fail_node t.core v;
-  let r = t.routers.(v) in
-  Hashtbl.reset r.adj_rib_in;
-  Hashtbl.reset r.rib_out;
-  r.best <- None;
-  r.backup <- None;
-  Array.iter
-    (fun (n, _) ->
-      let rn = t.routers.(n) in
-      Hashtbl.remove rn.adj_rib_in v;
-      Hashtbl.remove rn.rib_out v;
-      recompute t rn)
-    (Topology.neighbors t.topo v)
-
-let recover_node t v =
-  Session_core.recover_node t.core v;
-  let r = t.routers.(v) in
-  (* re-originates if [v] is the destination; otherwise the RIBs are empty
-     and best stays None until neighbours re-announce *)
-  recompute t r;
-  Array.iter
-    (fun (n, _) ->
-      advertise_to t t.routers.(n) v;
-      advertise_to t r n)
-    (Topology.neighbors t.topo v)
-
-let deny_export t v n =
-  Session_core.check_adjacent t.core ~op:"deny_export" v n;
-  Hashtbl.replace t.routers.(v).export_deny n ();
-  advertise_to t t.routers.(v) n
-
-let allow_export t v n =
-  Session_core.check_adjacent t.core ~op:"allow_export" v n;
-  Hashtbl.remove t.routers.(v).export_deny n;
-  advertise_to t t.routers.(v) n
-
-(* --- observation ----------------------------------------------------------- *)
-
-let best t v = t.routers.(v).best
-let backup t v = t.routers.(v).backup
-
-let has_disjoint_backup t v =
-  match (t.routers.(v).best, t.routers.(v).backup) with
+let has_disjoint_backup (t : t) v =
+  match (best t v, backup t v) with
   | Some b, Some a ->
     Valley.downhill_disjoint t.topo (v :: b.Route.as_path) (v :: a.Route.as_path)
   | _ -> false
 
 (* packet states: false = primary (never re-coloured), true = switched *)
-let walk_all t =
+let walk_all (t : t) =
   let links = Session_core.links t.core in
-  let usable v (route : Route.t option) =
-    match route with
-    | Some r -> begin
-      match Route.learned_from r with
-      | Some nh when Link_state.link_up links v nh -> Some nh
-      | Some _ | None -> None
-    end
-    | None -> None
-  in
+  let usable = Path_vector.usable_next links in
   let step v switched =
     if not (Link_state.node_up links v) then `Drop
     else begin
@@ -240,7 +76,7 @@ let walk_all t =
         | None -> begin
           (* primary missing or physically broken: an upgraded AS
              re-colours the packet onto its blue table *)
-          match (r.upgraded, usable v r.backup) with
+          match (r.ext.upgraded, usable v r.ext.backup) with
           | true, Some nh -> `Forward (nh, true)
           | (true | false), _ -> `Drop
         end
@@ -264,6 +100,11 @@ let walk_all t =
     ~state_id:(fun sw -> Bool.to_int sw)
     ~num_states:2
 
-let message_count t = Session_core.message_count t.core
-let last_change t = Session_core.last_change t.core
-let counters t = Session_core.counters t.core
+
+let engine ?(name = "STAMP-BGP hybrid") ~deployed () =
+  engine ~name ~probe:walk_all deployed
+
+let full =
+  engine ~name:"STAMP-BGP hybrid (full deployment)" ~deployed:(fun _ -> true) ()
+
+let () = Engine.Registry.register full

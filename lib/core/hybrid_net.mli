@@ -15,6 +15,10 @@
     advertised routes, so forwarding through legacy neighbours follows the
     very paths they advertised.
 
+    Implementation: the {!Path_vector} skeleton (so the control plane is
+    literally BGP's) plus one hook — the blue table is recomputed after
+    every decision — and its own 2-state forwarding walk.
+
     An upgraded AS therefore provides the protection the static analysis
     counts — "two downhill node-disjoint paths" — whenever its RIB holds a
     disjoint alternate, which for tier-1 ASes is the paper's ≈ 75 % of
@@ -23,51 +27,30 @@
 type t
 
 val create :
+  deployed:(Topology.vertex -> bool) ->
   Sim.t ->
   Topology.t ->
   dest:Topology.vertex ->
-  deployed:(Topology.vertex -> bool) ->
-  ?mrai_base:float ->
-  ?delay_lo:float ->
-  ?delay_hi:float ->
-  ?detect_delay:float ->
-  ?trace:Trace.sink ->
-  unit ->
+  Engine.config ->
   t
-(** Build routers and channels ({!Session_core}). [trace] (default
-    {!Trace.null}) receives the session substrate's events plus
-    per-router decision changes. [detect_delay] (default
-    0) postpones the control-plane reaction to every subsequent
-    {!fail_link}. *)
+(** Build routers and channels ({!Session_core}); STAMP's blue table runs
+    at the ASes satisfying [deployed]. *)
 
-val start : t -> unit
-val sim : t -> Sim.t
-val dest : t -> Topology.vertex
-val is_deployed : t -> Topology.vertex -> bool
+val engine :
+  ?name:string ->
+  deployed:(Topology.vertex -> bool) ->
+  unit ->
+  (module Engine.S)
+(** The hybrid at the given deployment as an engine (not registered);
+    [name] defaults to ["STAMP-BGP hybrid"]. *)
 
-val fail_link : t -> Topology.vertex -> Topology.vertex -> unit
+val full : (module Engine.S)
+(** Full deployment, registered under
+    ["STAMP-BGP hybrid (full deployment)"]. *)
 
-val recover_link : t -> Topology.vertex -> Topology.vertex -> unit
-(** Bring a link back: the session re-establishes and both sides
-    re-advertise their current best routes (backup tables refresh as the
-    RIBs change). *)
-
-val fail_node : t -> Topology.vertex -> unit
-(** Fail an AS entirely (legacy BGP semantics — the blue-table machinery
-    holds no extra per-node protocol state to tear down, so the reset is
-    exactly {!Bgp_net.fail_node}'s). *)
-
-val recover_node : t -> Topology.vertex -> unit
-(** Bring a failed AS back: sessions re-establish and neighbours
-    re-announce; the returning router restarts with empty RIBs and an
-    empty backup table. *)
-
-val deny_export : t -> Topology.vertex -> Topology.vertex -> unit
-(** Policy change: stop exporting to a neighbour (plain BGP semantics; an
-    immediate withdrawal follows if something was advertised). *)
-
-val allow_export : t -> Topology.vertex -> Topology.vertex -> unit
-(** Revert {!deny_export}. *)
+include Engine.NET with type t := t
+(** Plain BGP semantics ({!Path_vector.Make}); the backup tables refresh
+    as the RIBs change and clear with a failed router. *)
 
 val best : t -> Topology.vertex -> Route.t option
 (** The (plain BGP) best route of an AS. *)
@@ -75,7 +58,7 @@ val best : t -> Topology.vertex -> Route.t option
 val backup : t -> Topology.vertex -> Route.t option
 (** The blue table of an upgraded AS: the RIB route most downhill-disjoint
     from the best, restricted to the top local-pref class. [None] at
-    legacy ASes and when no alternate exists. *)
+    legacy ASes, at failed ones and when no alternate exists. *)
 
 val has_disjoint_backup : t -> Topology.vertex -> bool
 (** Whether the AS currently holds a backup whose downhill portion is
@@ -89,7 +72,3 @@ val walk_all : t -> Fwd_walk.status array
     route of the deflection neighbour, so its hops are the downstream best
     chain; following other ASes' local backups would compose unrelated
     picks and can loop). One re-colouring per packet, as in Section 5. *)
-
-val message_count : t -> int
-val last_change : t -> float
-val counters : t -> Counters.t

@@ -235,9 +235,7 @@ let receive t r ~from { color; body } =
 
 (* --- construction ----------------------------------------------------- *)
 
-let create sim topo ~dest ~coloring ?(mrai_base = 30.) ?(delay_lo = 0.010)
-    ?(delay_hi = 0.020) ?(detect_delay = 0.) ?(spread_unlocked_blue = false)
-    ?(trace = Trace.null) () =
+let create sim topo ~dest ~coloring ?(spread_unlocked_blue = false) config =
   let n = Topology.num_vertices topo in
   if dest < 0 || dest >= n then invalid_arg "Stamp_net.create: bad destination";
   let routers =
@@ -259,8 +257,7 @@ let create sim topo ~dest ~coloring ?(mrai_base = 30.) ?(delay_lo = 0.010)
   (* procs:2 — one MRAI timer per colour per directed link, drawn in
      Color.all order exactly as before *)
   let core =
-    Session_core.create ~mrai_base ~delay_lo ~delay_hi ~detect_delay ~procs:2
-      ~trace ~who:"Stamp_net" sim topo
+    Session_core.create ~procs:2 ~who:"Stamp_net" config sim topo
   in
   let t = { core; topo; dest; coloring; spread_unlocked_blue; routers } in
   Session_core.on_receive core (fun ~src ~dst msg ->
@@ -418,15 +415,7 @@ let in_use t v =
    packet — at most once — and use the other process. *)
 let walk_all t =
   let links = Session_core.links t.core in
-  let usable v color =
-    match best t color v with
-    | Some r -> begin
-      match Route.learned_from r with
-      | Some nh when Link_state.link_up links v nh -> Some nh
-      | Some _ | None -> None
-    end
-    | None -> None
-  in
+  let usable v color = Path_vector.usable_next links v (best t color v) in
   let step v (color, switched) =
     if not (Link_state.node_up links v) then `Drop
     else begin

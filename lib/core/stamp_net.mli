@@ -30,15 +30,10 @@ val create :
   Topology.t ->
   dest:Topology.vertex ->
   coloring:Coloring.t ->
-  ?mrai_base:float ->
-  ?delay_lo:float ->
-  ?delay_hi:float ->
-  ?detect_delay:float ->
   ?spread_unlocked_blue:bool ->
-  ?trace:Trace.sink ->
-  unit ->
+  Engine.config ->
   t
-(** [detect_delay] (default 0) postpones the adjacent routers' reaction to
+(** The config's [detect_delay] postpones the adjacent routers' reaction to
     every subsequent {!fail_link} while the data plane is already broken
     (Theorem 5.1 only promises loop/blackhole freedom {e once the adjacent
     ASes have detected the event}: a positive delay opens a window in
@@ -60,8 +55,8 @@ val dest : t -> Topology.vertex
 (** {1 Failure injection} *)
 
 val fail_link : t -> Topology.vertex -> Topology.vertex -> unit
-(** Fail a link; the adjacent routers react after the creation-time
-    [detect_delay] (default 0). *)
+(** Fail a link; the adjacent routers react after the config's
+    [detect_delay]. *)
 
 val fail_node : t -> Topology.vertex -> unit
 

@@ -1,25 +1,20 @@
 type config = {
   seed : int;
   mrai_base : float;
-  delay_lo : float;
-  delay_hi : float;
   detect_delay : float;
   trace : Trace.sink;
 }
 
 let default_config =
-  { seed = 0; mrai_base = 30.; delay_lo = 0.010; delay_hi = 0.020;
-    detect_delay = 0.; trace = Trace.null }
+  { seed = 0; mrai_base = 30.; detect_delay = 0.; trace = Trace.null }
 
 exception Unsupported of { engine : string; what : string }
 
 let unsupported ~engine what = raise (Unsupported { engine; what })
 
-module type S = sig
+module type NET = sig
   type t
 
-  val name : string
-  val create : Sim.t -> Topology.t -> dest:Topology.vertex -> config -> t
   val start : t -> unit
   val fail_link : t -> Topology.vertex -> Topology.vertex -> unit
   val recover_link : t -> Topology.vertex -> Topology.vertex -> unit
@@ -27,10 +22,17 @@ module type S = sig
   val recover_node : t -> Topology.vertex -> unit
   val deny_export : t -> Topology.vertex -> Topology.vertex -> unit
   val allow_export : t -> Topology.vertex -> Topology.vertex -> unit
-  val probe : t -> Fwd_walk.status array
   val message_count : t -> int
   val last_change : t -> float
   val counters : t -> Counters.t
+end
+
+module type S = sig
+  include NET
+
+  val name : string
+  val create : Sim.t -> Topology.t -> dest:Topology.vertex -> config -> t
+  val probe : t -> Fwd_walk.status array
 end
 
 type instance = Instance : (module S with type t = 'a) * 'a -> instance

@@ -4,17 +4,16 @@
     captured as a module type, plus packed instances and a registry.
 
     Analysis code (Runner, Experiment, the bench fleet, conformance tests)
-    is generic over {!S}: adding protocol #5 means writing its decision /
-    export / attribute policy on top of {!Session_core}, wrapping it in an
-    [S] implementation, and registering it — nothing else changes. *)
+    is generic over {!S}: a path-vector protocol that deviates from BGP
+    only by a few hooks is one application of {!Path_vector.Make}, which
+    also packs it as an [S]; it then registers itself — nothing else
+    changes. *)
 
 type config = {
   seed : int;
       (** protocol-level seeding beyond the simulation RNG (e.g. STAMP's
           coloring draw) *)
   mrai_base : float;  (** MRAI base interval in seconds (paper: 30 s) *)
-  delay_lo : float;  (** message-delay lower bound (paper: 10 ms) *)
-  delay_hi : float;  (** message-delay upper bound (paper: 20 ms) *)
   detect_delay : float;
       (** seconds between a link failing and the adjacent routers reacting
           (0 = instantaneous detection) *)
@@ -25,8 +24,9 @@ type config = {
 }
 
 val default_config : config
-(** The paper's parameters: seed 0, MRAI 30 s, delays U[10 ms, 20 ms],
-    instantaneous failure detection, no tracing. *)
+(** The paper's parameters: seed 0, MRAI 30 s, instantaneous failure
+    detection, no tracing. (Message delays are always the paper's
+    U[10 ms, 20 ms]; see {!Session_core}.) *)
 
 exception Unsupported of { engine : string; what : string }
 (** Raised by an engine for an event kind it genuinely cannot model;
@@ -37,17 +37,10 @@ exception Unsupported of { engine : string; what : string }
 val unsupported : engine:string -> string -> 'a
 (** [unsupported ~engine what] raises {!Unsupported}. *)
 
-(** The engine lifecycle. All failure/recovery and policy operations take
-    effect at the current simulation time. *)
-module type S = sig
+(** A network's lifecycle after construction. All failure/recovery and
+    policy operations take effect at the current simulation time. *)
+module type NET = sig
   type t
-
-  val name : string
-  (** Display name, also the registry key (e.g. ["R-BGP without RCI"]). *)
-
-  val create : Sim.t -> Topology.t -> dest:Topology.vertex -> config -> t
-  (** Build the network for one destination. Nothing is announced until
-      {!start}. *)
 
   val start : t -> unit
   (** The destination originates its prefix; run the sim to converge. *)
@@ -58,13 +51,24 @@ module type S = sig
   val recover_node : t -> Topology.vertex -> unit
   val deny_export : t -> Topology.vertex -> Topology.vertex -> unit
   val allow_export : t -> Topology.vertex -> Topology.vertex -> unit
-
-  val probe : t -> Fwd_walk.status array
-  (** Forwarding-plane status of every AS right now. *)
-
   val message_count : t -> int
   val last_change : t -> float
   val counters : t -> Counters.t
+end
+
+(** An engine: a {!NET} plus its name, constructor and probe. *)
+module type S = sig
+  include NET
+
+  val name : string
+  (** Display name, also the registry key (e.g. ["R-BGP without RCI"]). *)
+
+  val create : Sim.t -> Topology.t -> dest:Topology.vertex -> config -> t
+  (** Build the network for one destination. Nothing is announced until
+      {!start}. *)
+
+  val probe : t -> Fwd_walk.status array
+  (** Forwarding-plane status of every AS right now. *)
 end
 
 type instance = Instance : (module S with type t = 'a) * 'a -> instance
@@ -90,9 +94,10 @@ val last_change : instance -> float
 val counters : instance -> Counters.t
 
 (** Name → packed engine mapping. Engines self-register at module
-    initialisation (their adapter modules run [register] as a toplevel
-    effect); registration order is preserved and duplicate names are
-    ignored, so re-registration is harmless. *)
+    initialisation (each net module runs [register] as a toplevel effect;
+    the engine libraries are linked with [-linkall] so that happens in
+    every executable); registration order is preserved and duplicate
+    names are ignored, so re-registration is harmless. *)
 module Registry : sig
   val register : (module S) -> unit
   val find : string -> (module S) option

@@ -1,0 +1,323 @@
+type failure =
+  | Link of Topology.vertex * Topology.vertex
+  | Node of Topology.vertex
+
+type ('tag, 'extra) msg =
+  | Announce of { path : Topology.vertex list; tag : 'tag }
+  | Withdraw of { tag : 'tag }
+  | Extra of 'extra
+
+type 'ext router = {
+  v : Topology.vertex;
+  mutable best : Route.t option;
+  adj_rib_in : (Topology.vertex, Route.t) Hashtbl.t;
+  rib_out : (Topology.vertex, Topology.vertex list) Hashtbl.t;
+  export_deny : (Topology.vertex, unit) Hashtbl.t;
+  ext : 'ext;
+}
+
+type ('ext, 'tag, 'extra) net = {
+  core : ('tag, 'extra) msg Session_core.t;
+  topo : Topology.t;
+  dest : Topology.vertex;
+  routers : 'ext router array;
+}
+
+type step = [ `Forward of Topology.vertex * unit | `Drop | `Deliver ]
+
+let usable_next links v (route : Route.t option) =
+  match route with
+  | Some r -> begin
+    match Route.learned_from r with
+    | Some nh when Link_state.link_up links v nh -> Some nh
+    | Some _ | None -> None
+  end
+  | None -> None
+
+module type PROTOCOL = sig
+  type ext
+  type tag
+  type extra
+  type params
+
+  val who : string
+  val init : params -> Topology.vertex -> ext
+  val announce : ext router -> Topology.vertex list -> (tag, extra) msg
+  val withdraw : ext router -> unit -> (tag, extra) msg
+
+  val received :
+    (ext, tag, extra) net ->
+    ext router ->
+    from:Topology.vertex ->
+    (tag, extra) msg ->
+    unit
+
+  val reject : ext router -> Topology.vertex list -> bool
+  val decided :
+    (ext, tag, extra) net -> ext router -> old:Route.t option -> unit
+  val refresh : (ext, tag, extra) net -> ext router -> unit
+  val drop_peer : ext router -> Topology.vertex -> unit
+  val reset : ext router -> unit
+  val lost : (ext, tag, extra) net -> ext router -> failure -> unit
+  val restored : (ext, tag, extra) net -> failure -> unit
+end
+
+type none = |
+
+module Plain = struct
+  type tag = unit
+  type extra = none
+
+  let announce_msg path = Announce { path; tag = () }
+  let withdraw_msg () = Withdraw { tag = () }
+
+  (* arity 1: the advertise path gets the static functions, no closure *)
+  let announce _ = announce_msg
+  let withdraw _ = withdraw_msg
+  let received _ _ ~from:_ _ = ()
+  let reject _ _ = false
+  let decided _ _ ~old:_ = ()
+  let refresh _ _ = ()
+  let drop_peer _ _ = ()
+  let reset _ = ()
+  let lost _ _ _ = ()
+  let restored _ _ = ()
+end
+
+(* Why the old and new best differed, for the trace. *)
+let decision_cause ~old_best ~new_best =
+  match (old_best, new_best) with
+  | _, None -> "route-loss"
+  | None, Some _ -> "route-learned"
+  | Some _, Some _ -> "route-change"
+
+module Make (P : PROTOCOL) = struct
+  type t = (P.ext, P.tag, P.extra) net
+
+  let rel_exn t u v =
+    match Topology.rel t.topo u v with
+    | Some r -> r
+    | None -> invalid_arg (P.who ^ ": vertices not adjacent")
+
+  (* --- advertisement: export policy on top of Session_core ----------- *)
+
+  let rec advertise_to t r n =
+    let desired =
+      match r.best with
+      | Some b
+        when Route.learned_from b <> Some n
+             && Export.exportable b ~to_rel:(rel_exn t r.v n)
+             && not (Hashtbl.mem r.export_deny n) ->
+        Some (r.v :: b.as_path)
+      | Some _ | None -> None
+    in
+    Session_core.advertise t.core ~src:r.v ~dst:n ~rib_out:r.rib_out ~desired
+      ~announce:(P.announce r) ~withdraw:(P.withdraw r)
+      ~retry:(fun () -> advertise_to t r n)
+      ()
+
+  let advertise_all t r =
+    Array.iter
+      (fun (n, _) -> advertise_to t r n)
+      (Topology.neighbors t.topo r.v);
+    P.refresh t r
+
+  (* --- decision ------------------------------------------------------ *)
+
+  let recompute t r =
+    let best' =
+      if r.v = t.dest then Some Route.origin else Decision.select_tbl r.adj_rib_in
+    in
+    let old = r.best in
+    if best' <> old then begin
+      r.best <- best';
+      Session_core.note_decision t.core ~node:r.v
+        ~old_next:(Option.bind old Route.learned_from)
+        ~new_next:(Option.bind best' Route.learned_from)
+        ~cause:(decision_cause ~old_best:old ~new_best:best');
+      P.decided t r ~old;
+      advertise_all t r
+    end
+    else begin
+      P.decided t r ~old;
+      P.refresh t r
+    end
+
+  (* --- receiving ----------------------------------------------------- *)
+
+  let receive t r ~from msg =
+    if Session_core.node_up t.core r.v then begin
+      P.received t r ~from msg;
+      (match msg with
+      | Announce { path; _ } ->
+        if List.mem r.v path || P.reject r path then
+          (* own AS in path (or rejected by the protocol): discard,
+             dropping any previous route from the peer (implicit
+             withdraw) *)
+          Hashtbl.remove r.adj_rib_in from
+        else
+          Hashtbl.replace r.adj_rib_in from
+            { Route.as_path = path; cls = rel_exn t r.v from }
+      | Withdraw _ -> Hashtbl.remove r.adj_rib_in from
+      | Extra _ -> ());
+      recompute t r
+    end
+
+  (* --- construction -------------------------------------------------- *)
+
+  let create params sim topo ~dest config =
+    let n = Topology.num_vertices topo in
+    if dest < 0 || dest >= n then
+      invalid_arg (P.who ^ ".create: bad destination");
+    let routers =
+      Array.init n (fun v ->
+          {
+            v;
+            best = None;
+            adj_rib_in = Hashtbl.create 8;
+            rib_out = Hashtbl.create 8;
+            export_deny = Hashtbl.create 2;
+            ext = P.init params v;
+          })
+    in
+    let core = Session_core.create ~who:P.who config sim topo in
+    let t = { core; topo; dest; routers } in
+    Session_core.on_receive core (fun ~src ~dst msg ->
+        receive t t.routers.(dst) ~from:src msg);
+    t
+
+  let start t = recompute t t.routers.(t.dest)
+
+  (* --- failures ------------------------------------------------------ *)
+
+  let drop_peer r peer =
+    Hashtbl.remove r.adj_rib_in peer;
+    Hashtbl.remove r.rib_out peer;
+    P.drop_peer r peer
+
+  let fail_link t u v =
+    Session_core.fail_link t.core u v ~react:(fun () ->
+        let ru = t.routers.(u) and rv = t.routers.(v) in
+        drop_peer ru v;
+        drop_peer rv u;
+        let cause = Link (u, v) in
+        P.lost t ru cause;
+        P.lost t rv cause;
+        recompute t ru;
+        recompute t rv)
+
+  let recover_link t u v =
+    Session_core.recover_link t.core u v ~react:(fun () ->
+        let ru = t.routers.(u) and rv = t.routers.(v) in
+        drop_peer ru v;
+        drop_peer rv u;
+        P.restored t (Link (u, v));
+        (* session re-establishes: each side advertises its current best *)
+        advertise_to t ru v;
+        advertise_to t rv u;
+        P.refresh t ru;
+        P.refresh t rv)
+
+  let fail_node t v =
+    Session_core.fail_node t.core v;
+    let r = t.routers.(v) in
+    Hashtbl.reset r.adj_rib_in;
+    Hashtbl.reset r.rib_out;
+    r.best <- None;
+    P.reset r;
+    let cause = Node v in
+    Array.iter
+      (fun (n, _) ->
+        let rn = t.routers.(n) in
+        drop_peer rn v;
+        P.lost t rn cause;
+        recompute t rn)
+      (Topology.neighbors t.topo v)
+
+  let recover_node t v =
+    Session_core.recover_node t.core v;
+    P.restored t (Node v);
+    let r = t.routers.(v) in
+    (* re-originates if [v] is the destination; otherwise the RIBs are empty
+       and best stays None until neighbours re-announce *)
+    recompute t r;
+    Array.iter
+      (fun (n, _) ->
+        let rn = t.routers.(n) in
+        (* sessions re-establish: each side advertises its current best *)
+        advertise_to t rn v;
+        advertise_to t r n;
+        P.refresh t rn)
+      (Topology.neighbors t.topo v)
+
+  let set_export t v n ~deny ~op =
+    Session_core.check_adjacent t.core ~op v n;
+    let r = t.routers.(v) in
+    if deny then Hashtbl.replace r.export_deny n ()
+    else Hashtbl.remove r.export_deny n;
+    advertise_to t r n;
+    P.refresh t r
+
+  let deny_export t v n = set_export t v n ~deny:true ~op:"deny_export"
+  let allow_export t v n = set_export t v n ~deny:false ~op:"allow_export"
+
+  (* --- observation --------------------------------------------------- *)
+
+  let best t v = t.routers.(v).best
+  let next_hop t v = Option.bind t.routers.(v).best Route.learned_from
+
+  let to_table t : Static_route.table =
+    Array.map
+      (fun r ->
+        match r.best with
+        | None -> None
+        | Some (b : Route.t) ->
+          Some { Static_route.as_path = b.as_path; cls = b.cls })
+      t.routers
+
+  let walk t ~fallback =
+    let links = Session_core.links t.core in
+    let step v () =
+      if not (Link_state.node_up links v) then `Drop
+      else
+        match t.routers.(v).best with
+        | Some b -> begin
+          match Route.learned_from b with
+          | Some nh when Link_state.link_up links v nh -> `Forward (nh, ())
+          | Some _ | None -> fallback v
+        end
+        | None -> fallback v
+    in
+    Fwd_walk.walk_all
+      ~n:(Topology.num_vertices t.topo)
+      ~dest:t.dest
+      ~start:(fun _ -> ())
+      ~step
+      ~state_id:(fun () -> 0)
+      ~num_states:1
+
+  let drop _ = `Drop
+  let walk_all t = walk t ~fallback:drop
+  let message_count t = Session_core.message_count t.core
+  let last_change t = Session_core.last_change t.core
+  let counters t = Session_core.counters t.core
+
+  let engine ~name:engine_name ~probe:walk params : (module Engine.S) =
+    (module struct
+      type nonrec t = t
+
+      let name = engine_name
+      let create sim topo ~dest config = create params sim topo ~dest config
+      let start = start
+      let fail_link = fail_link
+      let recover_link = recover_link
+      let fail_node = fail_node
+      let recover_node = recover_node
+      let deny_export = deny_export
+      let allow_export = allow_export
+      let probe = walk
+      let message_count = message_count
+      let last_change = last_change
+      let counters = counters
+    end)
+end

@@ -1,0 +1,179 @@
+(** The path-vector router skeleton shared by BGP, R-BGP and the STAMP-BGP
+    hybrid: one router per AS on top of {!Session_core}, the prefer-customer
+    decision ({!Decision}), valley-free export ({!Export}), per-peer MRAI
+    on announcements, immediate withdrawals, session resets on failure.
+
+    A protocol is this skeleton plus a {!PROTOCOL} module: per-router
+    extension state and a few named hooks, each called at a fixed point of
+    the control plane. Every deviation from BGP is one of those hooks — not
+    a diverging copy of the machinery — so BGP itself is {!Make} applied to
+    {!Plain}'s no-op hooks. In the SRP vocabulary: [init] is the
+    origin route, [trans] is export plus the own-AS loop discard, [merge]
+    is {!Decision.select_tbl}; the hooks only add state beside them.
+
+    Reproducibility: hooks must not draw randomness except through
+    {!Session_core.send}, whose draw order the skeleton's call order fixes
+    (documented per hook). *)
+
+type failure =
+  | Link of Topology.vertex * Topology.vertex
+  | Node of Topology.vertex
+(** A failed (or recovered) element, as handed to {!PROTOCOL.lost} and
+    {!PROTOCOL.restored}. *)
+
+(** Wire messages: the BGP update carrying a protocol [tag] (R-BGP's root
+    cause), plus protocol-specific [Extra] messages the skeleton does not
+    interpret. *)
+type ('tag, 'extra) msg =
+  | Announce of { path : Topology.vertex list; tag : 'tag }
+  | Withdraw of { tag : 'tag }
+  | Extra of 'extra
+
+type 'ext router = {
+  v : Topology.vertex;
+  mutable best : Route.t option;
+  adj_rib_in : (Topology.vertex, Route.t) Hashtbl.t;
+  rib_out : (Topology.vertex, Topology.vertex list) Hashtbl.t;
+      (** the path each neighbour last heard from us *)
+  export_deny : (Topology.vertex, unit) Hashtbl.t;
+      (** neighbours this router's policy currently forbids exporting to *)
+  ext : 'ext;  (** the protocol's per-router state *)
+}
+
+type ('ext, 'tag, 'extra) net = {
+  core : ('tag, 'extra) msg Session_core.t;
+  topo : Topology.t;
+  dest : Topology.vertex;
+  routers : 'ext router array;
+}
+
+type step = [ `Forward of Topology.vertex * unit | `Drop | `Deliver ]
+(** One hop of the single-state forwarding walk ({!Fwd_walk}). *)
+
+val usable_next :
+  Link_state.t -> Topology.vertex -> Route.t option -> Topology.vertex option
+(** The next hop of a route if the link to it is up. *)
+
+module type PROTOCOL = sig
+  type ext
+  type tag
+  type extra
+  type params  (** protocol arguments of [create] *)
+
+  val who : string
+  (** Engine id in traces and prefix of error messages (["Bgp_net"]). *)
+
+  val init : params -> Topology.vertex -> ext
+
+  val announce : ext router -> Topology.vertex list -> (tag, extra) msg
+  (** The announcement message of a path; applied to the router once per
+      advertisement attempt, so a closure-free [announce] must have arity 1
+      (return a static function) to keep the advertise path
+      allocation-free. *)
+
+  val withdraw : ext router -> unit -> (tag, extra) msg
+  (** As {!announce}, for withdrawals. *)
+
+  val received :
+    (ext, tag, extra) net ->
+    ext router ->
+    from:Topology.vertex ->
+    (tag, extra) msg ->
+    unit
+  (** Runs first on every message delivered to an up router, before the
+      skeleton updates the Adj-RIB-In ([Extra] messages are handled here
+      only). *)
+
+  val reject : ext router -> Topology.vertex list -> bool
+  (** Whether an announced path is discarded like a looping one. *)
+
+  val decided :
+    (ext, tag, extra) net -> ext router -> old:Route.t option -> unit
+  (** Runs after every decision, before any re-advertisement. [old] is the
+      previous best: physically equal to [r.best] iff it did not change. *)
+
+  val refresh : (ext, tag, extra) net -> ext router -> unit
+  (** Re-evaluate protocol-specific advertisements. Runs at the end of
+      every full re-advertisement, when a decision leaves the best
+      unchanged, after the per-peer re-advertisements of a recovered
+      session (each side in turn) and after an export-policy change. *)
+
+  val drop_peer : ext router -> Topology.vertex -> unit
+  (** Session with the peer reset: drop per-peer state. *)
+
+  val reset : ext router -> unit
+  (** The router's node failed: drop all per-session state. *)
+
+  val lost : (ext, tag, extra) net -> ext router -> failure -> unit
+  (** An adjacent element failed; runs after the session reset and before
+      the router's decision (for a link: on both ends, then both decide). *)
+
+  val restored : (ext, tag, extra) net -> failure -> unit
+  (** An element recovered; runs once, before anything is re-advertised. *)
+end
+
+type none = |
+
+(** No-op hooks and untagged BGP messages: {!Make} over [Plain] (plus
+    [ext] and [params]) is plain BGP. Include it and override the hooks
+    the protocol changes. *)
+module Plain : sig
+  type tag = unit
+  type extra = none
+
+  val announce : 'r -> Topology.vertex list -> (tag, extra) msg
+  val withdraw : 'r -> unit -> (tag, extra) msg
+  val received : 'n -> 'r -> from:Topology.vertex -> 'm -> unit
+  val reject : 'r -> Topology.vertex list -> bool
+  val decided : 'n -> 'r -> old:Route.t option -> unit
+  val refresh : 'n -> 'r -> unit
+  val drop_peer : 'r -> Topology.vertex -> unit
+  val reset : 'r -> unit
+  val lost : 'n -> 'r -> failure -> unit
+  val restored : 'n -> failure -> unit
+end
+
+(** The skeleton over a protocol. Failures take effect at once in the data
+    plane; after the config's [detect_delay] both ends of a failed link
+    (every neighbour of a failed node) reset the session and re-decide;
+    in-flight messages are lost. Recovered sessions re-advertise from
+    both ends; a recovered node restarts with empty RIBs. A denied export
+    withdraws at once; the link stays up. *)
+module Make (P : PROTOCOL) : sig
+  type t = (P.ext, P.tag, P.extra) net
+
+  include Engine.NET with type t := t
+
+  val create :
+    P.params ->
+    Sim.t ->
+    Topology.t ->
+    dest:Topology.vertex ->
+    Engine.config ->
+    t
+  (** Build routers and the session core. Nothing is announced until
+      [start].
+      @raise Invalid_argument ["<who>.create: bad destination"]. *)
+
+  val best : t -> Topology.vertex -> Route.t option
+  (** Current best route of an AS ([Some Route.origin] at the destination). *)
+
+  val next_hop : t -> Topology.vertex -> Topology.vertex option
+
+  val to_table : t -> Static_route.table
+  (** All current best routes in the oracle's table format. *)
+
+  val walk : t -> fallback:(Topology.vertex -> step) -> Fwd_walk.status array
+  (** Single-state forwarding walk: each AS forwards along its best route
+      when its next hop is up, and otherwise takes [fallback]. *)
+
+  val walk_all : t -> Fwd_walk.status array
+  (** {!walk} where a missing or broken best route drops the packet. *)
+
+  val engine :
+    name:string ->
+    probe:(t -> Fwd_walk.status array) ->
+    P.params ->
+    (module Engine.S)
+  (** The protocol packed as an engine under [name]. *)
+end

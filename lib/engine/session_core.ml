@@ -28,8 +28,8 @@ let trace_node core v kind =
       ~loc:(Trace.Node (Topology.asn core.topo v))
       kind
 
-let create ?(mrai_base = 30.) ?(delay_lo = 0.010) ?(delay_hi = 0.020)
-    ?(detect_delay = 0.) ?(procs = 1) ?(trace = Trace.null) ~who sim topo =
+let create ?(procs = 1) ~who
+    { Engine.mrai_base; detect_delay; trace; seed = _ } sim topo =
   if detect_delay < 0. || Float.is_nan detect_delay then
     invalid_arg (who ^ ".create: negative detect delay");
   if procs < 1 then invalid_arg (who ^ ".create: non-positive process count");
@@ -72,7 +72,7 @@ let create ?(mrai_base = 30.) ?(delay_lo = 0.010) ?(delay_hi = 0.020)
             end
           in
           Hashtbl.replace core.chans (u, v)
-            (Channel.create sim ~delay_lo ~delay_hi ~deliver);
+            (Channel.create sim ~deliver);
           for p = 0 to procs - 1 do
             Hashtbl.replace core.mrais (u, v, p)
               (Mrai.create (Sim.rng sim) ~base:mrai_base ())
@@ -85,13 +85,10 @@ let on_receive core handler = core.handler <- handler
 let sim core = core.sim
 let links core = core.links
 let counters core = core.counters
-let detect_delay core = core.detect_delay
 let link_up core u v = Link_state.link_up core.links u v
 let node_up core v = Link_state.node_up core.links v
 let last_change core = core.last_change
-let note_change core = core.last_change <- Sim.now core.sim
 let message_count core = Counters.messages core.counters
-let trace core = core.trace
 let trace_enabled core = Trace.enabled core.trace
 let emit_node core v kind = trace_node core v kind
 

@@ -20,22 +20,15 @@ type 'msg t
 (** A session core carrying protocol messages of type ['msg]. *)
 
 val create :
-  ?mrai_base:float ->
-  ?delay_lo:float ->
-  ?delay_hi:float ->
-  ?detect_delay:float ->
-  ?procs:int ->
-  ?trace:Trace.sink ->
-  who:string ->
-  Sim.t ->
-  Topology.t ->
-  'msg t
-(** Build channels and MRAI state for every directed link. [procs] (default
+  ?procs:int -> who:string -> Engine.config -> Sim.t -> Topology.t -> 'msg t
+(** Build channels and MRAI state for every directed link, from the
+    config's [mrai_base], [detect_delay] and [trace]. Message delays are
+    the paper's U[10 ms, 20 ms] ({!Channel}'s defaults). [procs] (default
     1) is the number of routing processes per router — each gets its own
-    MRAI timer per directed link (STAMP runs two). [detect_delay] (default
-    0) postpones the control-plane reaction to every subsequent
-    {!fail_link} while the data plane is already broken. [trace] (default
-    {!Trace.null}) receives the session substrate's structured events —
+    MRAI timer per directed link (STAMP runs two). A positive
+    [detect_delay] postpones the control-plane reaction to every
+    subsequent {!fail_link} while the data plane is already broken. The
+    [trace] sink receives the session substrate's structured events —
     enqueue/deliver/drop per channel, MRAI deferrals and flushes, session
     resets and decisions ({!note_decision}) — stamped with [who] as engine
     id and locations in ASN space; with the null sink every emission site
@@ -116,7 +109,6 @@ val sim : 'msg t -> Sim.t
 val links : 'msg t -> Link_state.t
 val link_up : 'msg t -> Topology.vertex -> Topology.vertex -> bool
 val node_up : 'msg t -> Topology.vertex -> bool
-val detect_delay : 'msg t -> float
 
 val counters : 'msg t -> Counters.t
 (** Live counters (mutated as the engine runs); snapshot before storing. *)
@@ -125,13 +117,11 @@ val message_count : 'msg t -> int
 (** Updates sent so far (announcements + withdrawals). *)
 
 val last_change : 'msg t -> float
-val note_change : 'msg t -> unit
-(** Engines call this when any router's best route changes; {!last_change}
-    is then the convergence instant once the queue drains. *)
+(** Time of the last best-route change ({!note_decision}): the
+    convergence instant once the queue drains. *)
 
 (** {1 Tracing} *)
 
-val trace : 'msg t -> Trace.sink
 val trace_enabled : 'msg t -> bool
 
 val note_decision :
@@ -141,10 +131,11 @@ val note_decision :
   new_next:Topology.vertex option ->
   cause:string ->
   unit
-(** {!note_change} plus a {!Trace.Decision} event at the router (next hops
-    are translated to ASN space; [None] = no route or the origin's own
-    route). The timestamp side effect is unconditional, so engines can call
-    this at every best-route change whether or not tracing is on. *)
+(** Record a best-route change for {!last_change}, plus a
+    {!Trace.Decision} event at the router (next hops are translated to ASN
+    space; [None] = no route or the origin's own route). The timestamp side
+    effect is unconditional, so engines can call this at every best-route
+    change whether or not tracing is on. *)
 
 val emit_node : 'msg t -> Topology.vertex -> Trace.kind -> unit
 (** Emit an engine-specific event located at a router (ASN-translated),

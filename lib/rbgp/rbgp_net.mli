@@ -18,57 +18,39 @@
       [~rci:false] the purge is disabled and R-BGP degrades accordingly
       (the "R-BGP without RCI" bars of the paper).
 
+    Implementation: the {!Path_vector} skeleton plus hooks — updates
+    carry the root cause as their tag, failover paths travel as extra
+    messages and are re-evaluated after every decision, session and
+    policy change, received causes purge and reject stale paths, and the
+    last withdrawn route is kept for forwarding — and its own deflection
+    walk.
+
     Simplifications relative to the full NSDI protocol are documented in
     DESIGN.md (design decision 8). *)
 
 type t
 
 val create :
+  rci:bool ->
   Sim.t ->
   Topology.t ->
   dest:Topology.vertex ->
-  rci:bool ->
-  ?mrai_base:float ->
-  ?delay_lo:float ->
-  ?delay_hi:float ->
-  ?detect_delay:float ->
-  ?trace:Trace.sink ->
-  unit ->
+  Engine.config ->
   t
-(** Build routers and channels ({!Session_core}). [trace] (default
-    {!Trace.null}) receives the session substrate's events plus
-    per-router decision changes. [detect_delay] (default
-    0) postpones the control-plane reaction to every subsequent
-    {!fail_link}. *)
+(** Build routers and channels ({!Session_core}); [rci] switches the
+    root-cause purge on. Nothing is announced until {!start}. *)
 
-val start : t -> unit
-(** The destination announces its prefix; run the sim to converge. *)
+val no_rci : (module Engine.S)
+(** Registered under ["R-BGP without RCI"]. *)
 
-val sim : t -> Sim.t
-val dest : t -> Topology.vertex
+val rci : (module Engine.S)
+(** Registered under ["R-BGP"]. *)
 
-val fail_link : t -> Topology.vertex -> Topology.vertex -> unit
-(** Fail a link at the current simulation time; adjacent routers react
-    after the creation-time [detect_delay] (default 0) and learn the root
-    cause; with RCI enabled they propagate it. *)
-
-val fail_node : t -> Topology.vertex -> unit
-
-val recover_link : t -> Topology.vertex -> Topology.vertex -> unit
-(** Bring a link back: sessions re-establish, both ends re-advertise, and
-    the link's root cause is cleared everywhere (routes through it are
-    valid again). *)
-
-val recover_node : t -> Topology.vertex -> unit
-(** Bring a failed AS back: its links come up, sessions re-establish and
-    neighbours re-announce. The node's root cause is cleared everywhere and
-    the returning router restarts with empty RIBs and no known causes. *)
-
-val deny_export : t -> Topology.vertex -> Topology.vertex -> unit
-(** Policy change: stop exporting to a neighbour (withdrawal follows). *)
-
-val allow_export : t -> Topology.vertex -> Topology.vertex -> unit
-(** Revert {!deny_export}. *)
+include Engine.NET with type t := t
+(** {!Path_vector.Make} semantics, plus: routers adjacent to a failure
+    learn its root cause (and, with RCI, propagate it); a recovered link's
+    or node's cause is cleared everywhere, and a recovered router restarts
+    with no known causes. *)
 
 val best : t -> Topology.vertex -> Route.t option
 
@@ -79,9 +61,7 @@ val failover_choices : t -> Topology.vertex -> Topology.vertex list list
 
 val walk_all : t -> Fwd_walk.status array
 (** Forwarding status of every AS under R-BGP forwarding: primary next hop
-    when available, otherwise deflection onto a stored failover path. *)
+    when available, then the withdrawn route's, otherwise deflection onto
+    a stored failover path. *)
 
-val message_count : t -> int
-val last_change : t -> float
-val counters : t -> Counters.t
 val to_table : t -> Static_route.table

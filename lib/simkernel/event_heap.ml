@@ -4,9 +4,16 @@ type 'a t = {
   mutable data : 'a cell array;
   mutable size : int;
   mutable next_seq : int;
+  empty : 'a cell;  (** occupies every slot at or beyond [size] *)
 }
 
-let create () = { data = [||]; size = 0; next_seq = 0 }
+let create ~filler =
+  {
+    data = [||];
+    size = 0;
+    next_seq = 0;
+    empty = { time = infinity; seq = max_int; payload = filler };
+  }
 
 let cell_lt a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
@@ -14,7 +21,7 @@ let grow t =
   let cap = Array.length t.data in
   if t.size = cap then begin
     let new_cap = max 16 (cap * 2) in
-    let data = Array.make new_cap t.data.(0) in
+    let data = Array.make new_cap t.empty in
     Array.blit t.data 0 data 0 t.size;
     t.data <- data
   end
@@ -23,7 +30,7 @@ let push t ~time payload =
   if Float.is_nan time then invalid_arg "Event_heap.push: NaN time";
   let cell = { time; seq = t.next_seq; payload } in
   t.next_seq <- t.next_seq + 1;
-  if Array.length t.data = 0 then t.data <- Array.make 16 cell else grow t;
+  grow t;
   (* sift up *)
   let i = ref t.size in
   t.size <- t.size + 1;
@@ -45,8 +52,11 @@ let pop_min t =
   else begin
     let top = t.data.(0) in
     t.size <- t.size - 1;
+    let last = t.data.(t.size) in
+    (* clear the vacated slot so the popped payload can be collected *)
+    t.data.(t.size) <- t.empty;
     if t.size > 0 then begin
-      t.data.(0) <- t.data.(t.size);
+      t.data.(0) <- last;
       (* sift down *)
       let i = ref 0 in
       let continue = ref true in

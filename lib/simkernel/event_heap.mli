@@ -5,7 +5,9 @@
 
 type 'a t
 
-val create : unit -> 'a t
+val create : filler:'a -> 'a t
+(** An empty heap. [filler] occupies vacated slots, so popped payloads
+    are not kept reachable by the heap. *)
 
 val push : 'a t -> time:float -> 'a -> unit
 (** @raise Invalid_argument if [time] is NaN. *)

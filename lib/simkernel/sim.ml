@@ -8,7 +8,7 @@ type t = {
 let create ?(seed = 0) () =
   {
     clock = 0.;
-    heap = Event_heap.create ();
+    heap = Event_heap.create ~filler:ignore;
     rng = Random.State.make [| seed |];
     events_processed = 0;
   }

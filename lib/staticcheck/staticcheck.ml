@@ -3,8 +3,7 @@ let src = Logs.Src.create "stamp.staticcheck" ~doc:"static safety analyzer"
 module Log = (val Logs.src_log src : Logs.LOG)
 
 (* Checks self-register at module-initialisation time; referencing one
-   value from every check module forces the linker to keep them (same
-   trick Runner plays for the engine adapters). *)
+   value from every check module forces the linker to keep them. *)
 let builtin_checks : (module Check.CHECK) list =
   [
     (module Check_graph.Wellformed);

@@ -90,9 +90,11 @@ let print_params (p : Topo_gen.params) =
     p.mid_extra_provider_prob p.peers_per_mid p.seed
 
 (* Run a freshly created network to convergence and return it. *)
-let converge_bgp ?(seed = 7) ?detect_delay topo ~dest =
+let converge_bgp ?(seed = 7) ?(detect_delay = 0.) topo ~dest =
   let sim = Sim.create ~seed () in
-  let net = Bgp_net.create sim topo ~dest ?detect_delay () in
+  let net =
+    Bgp_net.create sim topo ~dest { Engine.default_config with detect_delay }
+  in
   Bgp_net.start net;
   Sim.run sim;
   (sim, net)

@@ -263,7 +263,7 @@ let test_deterministic_runs () =
   let t = diamond_plus () in
   let run () =
     let sim = Sim.create ~seed:21 () in
-    let net = Bgp_net.create sim t ~dest:(vtx t 4) () in
+    let net = Bgp_net.create sim t ~dest:(vtx t 4) Engine.default_config in
     Bgp_net.start net;
     Sim.run sim;
     (Bgp_net.message_count net, Bgp_net.last_change net, Sim.events_processed sim)

@@ -58,7 +58,7 @@ let test_link_recover_oracle () =
     (fun (label, t, dasn, (ua, va), _) ->
       let dest = vtx t dasn and u = vtx t ua and v = vtx t va in
       roundtrip ~name:(label ^ "/bgp")
-        ~create:(fun sim -> Bgp_net.create sim t ~dest ())
+        ~create:(fun sim -> Bgp_net.create sim t ~dest Engine.default_config)
         ~start:Bgp_net.start ~table:Bgp_net.to_table
         ~fail:(fun net -> Bgp_net.fail_link net u v)
         ~recover:(fun net -> Bgp_net.recover_link net u v)
@@ -67,7 +67,8 @@ let test_link_recover_oracle () =
         (fun rci ->
           roundtrip
             ~name:(Printf.sprintf "%s/rbgp rci=%b" label rci)
-            ~create:(fun sim -> Rbgp_net.create sim t ~dest ~rci ())
+            ~create:(fun sim ->
+              Rbgp_net.create ~rci sim t ~dest Engine.default_config)
             ~start:Rbgp_net.start ~table:Rbgp_net.to_table
             ~fail:(fun net -> Rbgp_net.fail_link net u v)
             ~recover:(fun net -> Rbgp_net.recover_link net u v)
@@ -75,7 +76,8 @@ let test_link_recover_oracle () =
         [ true; false ];
       let coloring = Coloring.create Coloring.Random_choice ~seed:5 t ~dest in
       roundtrip ~name:(label ^ "/stamp")
-        ~create:(fun sim -> Stamp_net.create sim t ~dest ~coloring ())
+        ~create:(fun sim ->
+          Stamp_net.create sim t ~dest ~coloring Engine.default_config)
         ~start:Stamp_net.start
         ~table:(fun net ->
           (* both processes must return to their own pre-failure trees *)
@@ -92,20 +94,22 @@ let test_node_recover_oracle () =
     (fun (label, t, dasn, _, nasn) ->
       let dest = vtx t dasn and node = vtx t nasn in
       roundtrip ~name:(label ^ "/bgp node")
-        ~create:(fun sim -> Bgp_net.create sim t ~dest ())
+        ~create:(fun sim -> Bgp_net.create sim t ~dest Engine.default_config)
         ~start:Bgp_net.start ~table:Bgp_net.to_table
         ~fail:(fun net -> Bgp_net.fail_node net node)
         ~recover:(fun net -> Bgp_net.recover_node net node)
         ~check_oracle:true t dest;
       roundtrip ~name:(label ^ "/rbgp node")
-        ~create:(fun sim -> Rbgp_net.create sim t ~dest ~rci:true ())
+        ~create:(fun sim ->
+          Rbgp_net.create ~rci:true sim t ~dest Engine.default_config)
         ~start:Rbgp_net.start ~table:Rbgp_net.to_table
         ~fail:(fun net -> Rbgp_net.fail_node net node)
         ~recover:(fun net -> Rbgp_net.recover_node net node)
         ~check_oracle:true t dest;
       let coloring = Coloring.create Coloring.Random_choice ~seed:5 t ~dest in
       roundtrip ~name:(label ^ "/stamp node")
-        ~create:(fun sim -> Stamp_net.create sim t ~dest ~coloring ())
+        ~create:(fun sim ->
+          Stamp_net.create sim t ~dest ~coloring Engine.default_config)
         ~start:Stamp_net.start
         ~table:(fun net ->
           Array.append
@@ -123,7 +127,10 @@ let test_hybrid_link_recover () =
     (fun (label, t, dasn, (ua, va), _) ->
       let dest = vtx t dasn and u = vtx t ua and v = vtx t va in
       let sim = Sim.create ~seed:11 () in
-      let net = Hybrid_net.create sim t ~dest ~deployed:(fun _ -> true) () in
+      let net =
+        Hybrid_net.create ~deployed:(fun _ -> true) sim t ~dest
+          Engine.default_config
+      in
       Hybrid_net.start net;
       Sim.run sim;
       let before = Hybrid_net.walk_all net in
@@ -203,7 +210,7 @@ let test_with_resampling_error () =
       ignore
         (Scenario.with_resampling ~attempts:0 "hopeless" (fun _ _ -> None) st t))
 
-(* --- run_hybrid event coverage ------------------------------------------ *)
+(* --- hybrid event coverage ---------------------------------------------- *)
 
 (* The hybrid engine used to pre-reject node and policy events; on the
    shared session core it supports the full vocabulary like every other
@@ -213,7 +220,7 @@ let test_run_hybrid_full_vocabulary () =
   let dest = vtx t 3 in
   let check_converges label events =
     let r =
-      Runner.run_hybrid ~deployed:(fun _ -> true) t
+      Runner.run_engine Hybrid_net.full t
         { Scenario.dest; events; detect_delay = None }
     in
     Alcotest.(check string) (label ^ " runs to a verdict") "converged"
@@ -238,7 +245,7 @@ let test_run_hybrid_full_vocabulary () =
   (* a denied export at a legacy-BGP AS pair actually withdraws the route:
      the hybrid's policy machinery works, it isn't silently ignored *)
   let r =
-    Runner.run_hybrid ~deployed:(fun _ -> false) t
+    Runner.run_engine (Hybrid_net.engine ~deployed:(fun _ -> false) ()) t
       {
         Scenario.dest;
         events = [ Scenario.Deny_export (dest, vtx t 1) ];
@@ -372,6 +379,20 @@ let test_default_budget_never_binds () =
         (Sim.verdict_name r.Runner.verdict))
     Runner.all_protocols
 
+(* A budget that cuts initial convergence short must surface as the
+   verdict, with no event injected into the half-converged network and so
+   nothing observed. *)
+let test_traffic_initial_budget () =
+  let t = Topo_gen.generate (Topo_gen.default_params ~n:60 ()) in
+  let st = Random.State.make [| 5 |] in
+  let spec = Scenario.single_link st t in
+  let budget = { Runner.max_events = 50; max_vtime = 86_400. } in
+  let s = Runner.run_traffic ~budget Runner.Bgp t spec in
+  Alcotest.(check string) "initial verdict" "event-budget-exhausted"
+    (Sim.verdict_name s.Traffic.verdict);
+  Alcotest.(check int) "no loss events" 0 s.Traffic.loss_events;
+  Alcotest.(check int) "no loop events" 0 s.Traffic.loop_events
+
 let () =
   Alcotest.run "churn"
     [
@@ -395,6 +416,8 @@ let () =
         [
           Alcotest.test_case "run_hybrid supports the full vocabulary" `Quick
             test_run_hybrid_full_vocabulary;
+          Alcotest.test_case "traffic: cut initial convergence injects nothing"
+            `Quick test_traffic_initial_budget;
           prop_flap_terminates;
           Alcotest.test_case "tiny budget: sweep full of verdicts" `Quick
             test_sweep_tiny_budget_verdicts;

@@ -132,14 +132,14 @@ let test_registry_contents () =
     Runner.all_protocols;
   (* re-registration by the same name is ignored, not duplicated *)
   let before = List.length (Engine.Registry.names ()) in
-  Engine.Registry.register Bgp_engine.engine;
+  Engine.Registry.register (module Bgp_net);
   Alcotest.(check int) "re-registration is idempotent" before
     (List.length (Engine.Registry.names ()))
 
 (* A restricted engine: link events only, everything else rejected via
    Engine.unsupported. The generic Runner must surface that as a clear
    Invalid_argument naming the engine and the event kind — the error path
-   that replaced run_hybrid's hand-written pre-validation. *)
+   that replaced the hybrid's hand-written pre-validation. *)
 let stub_name = "stub (link events only)"
 
 let stub : (module Engine.S) =
@@ -219,6 +219,75 @@ let test_detect_delay_uniform () =
       check_counters (engine_name ^ " (delayed detection)") inst)
     (Engine.Registry.all ())
 
+(* --- differential: the hybrid with nothing deployed is BGP --------------- *)
+
+(* Hybrid_net is the BGP skeleton plus a blue-table hook that only upgraded
+   ASes act on, and a 2-state walk whose second state only they enter.
+   With no AS upgraded it must be BGP bit for bit: every Runner.result
+   field, and the normalised trace once the engine ids are mapped. *)
+let undeployed_name = "hybrid, nothing deployed"
+
+let undeployed =
+  Hybrid_net.engine ~name:undeployed_name ~deployed:(fun _ -> false) ()
+
+let as_bgp_ids (e : Trace.event) =
+  match e.engine with
+  | "Hybrid_net" -> { e with engine = "Bgp_net" }
+  | id when id = undeployed_name -> { e with engine = "BGP" }
+  | _ -> e
+
+let run_traced ~map engine topo spec =
+  let trace = Trace.memory () in
+  let r = Runner.run_engine ~seed:3 ~trace engine topo spec in
+  (r, Trace.normalize (List.map map (Trace.events trace)))
+
+(* [None] when equal, else which part differs *)
+let bgp_difference topo spec =
+  let bgp, bgp_trace = run_traced ~map:Fun.id (module Bgp_net) topo spec in
+  let hyb, hyb_trace = run_traced ~map:as_bgp_ids undeployed topo spec in
+  let hyb =
+    {
+      hyb with
+      Runner.timeline =
+        Option.map
+          (fun tl -> { tl with Timeline.engine = Bgp_net.name })
+          hyb.Runner.timeline;
+    }
+  in
+  if bgp <> hyb then Some "Runner.result"
+  else if not (List.equal Trace.equal_event bgp_trace hyb_trace) then
+    Some "normalised trace"
+  else None
+
+let test_undeployed_hybrid_is_bgp () =
+  let t = Test_support.diamond_plus () in
+  let dest = vtx t 3 in
+  List.iter
+    (fun (label, detect_delay, events) ->
+      Alcotest.(check (option string)) (label ^ ": differs in") None
+        (bgp_difference t
+           { Scenario.dest; events; detect_delay = Some detect_delay }))
+    (matrix t ~dest)
+
+let prop_undeployed_hybrid_is_bgp =
+  Test_support.qtest ~count:15
+    "hybrid with nothing deployed = BGP on generated topologies"
+    Test_support.gen_params Test_support.print_params (fun p ->
+      let t = Topo_gen.generate p in
+      QCheck2.assume (Array.length (Topology.multi_homed t) > 0);
+      let st = Random.State.make [| p.Topo_gen.seed + 71 |] in
+      List.for_all
+        (fun make ->
+          match make st t with
+          | exception Invalid_argument _ -> true
+          | spec -> Option.is_none (bgp_difference t spec))
+        [
+          Scenario.single_link;
+          Scenario.node_failure;
+          Scenario.policy_withdraw;
+          Scenario.flap ~period:20. ~count:2;
+        ])
+
 let () =
   Alcotest.run "engine_conformance"
     [
@@ -232,6 +301,12 @@ let () =
       ( "registry",
         [ Alcotest.test_case "contents and idempotence" `Quick
             test_registry_contents ] );
+      ( "bgp_equiv",
+        [
+          Alcotest.test_case "undeployed hybrid = BGP over the matrix" `Quick
+            test_undeployed_hybrid_is_bgp;
+          prop_undeployed_hybrid_is_bgp;
+        ] );
       ( "errors",
         [
           Alcotest.test_case "unsupported events -> clear Invalid_argument"

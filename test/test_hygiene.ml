@@ -82,6 +82,18 @@ let rules =
         contains_fragment [ "engine"; "sim" ];
       why = "route session channels and MRAI timers through Session_core";
     };
+    (* One control plane per concept: BGP, R-BGP and the hybrid share the
+       Path_vector skeleton, and STAMP's two coupled processes are the one
+       engine that builds its own session core. A fifth hand-copied
+       control plane would start with its own Session_core.create. *)
+    {
+      name = "session cores only in the router skeleton and STAMP";
+      patterns = [ "Session_core.create" ];
+      dirs = [ "lib"; "bin"; "bench" ];
+      allowed =
+        contains_fragment [ "engine/path_vector.ml"; "core/stamp_net.ml" ];
+      why = "build path-vector protocols on Path_vector.Make";
+    };
     (* Libraries report through Logs / Fmt / returned values; writing to
        stdout from lib/ corrupts machine-readable output (stamp_check
        --json, the bench JSON) and bypasses log levels. Executables own

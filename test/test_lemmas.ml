@@ -45,7 +45,7 @@ let prop_lemma_3_1_bgp =
       QCheck2.assume (Array.length (Topology.multi_homed topo) > 0);
       let dest, u, v = recovery_scenario topo ~seed:(p.Topo_gen.seed + 31) in
       let sim = Sim.create ~seed:p.Topo_gen.seed () in
-      let net = Bgp_net.create sim topo ~dest () in
+      let net = Bgp_net.create sim topo ~dest Engine.default_config in
       Bgp_net.start net;
       Sim.run sim;
       Bgp_net.fail_link net u v;
@@ -70,7 +70,9 @@ let prop_lemma_3_1_stamp =
       let coloring =
         Coloring.create Coloring.Random_choice ~seed:p.Topo_gen.seed topo ~dest
       in
-      let net = Stamp_net.create sim topo ~dest ~coloring () in
+      let net =
+        Stamp_net.create sim topo ~dest ~coloring Engine.default_config
+      in
       Stamp_net.start net;
       Sim.run sim;
       Stamp_net.fail_link net u v;
@@ -86,7 +88,9 @@ let prop_lemma_3_1_rbgp =
       QCheck2.assume (Array.length (Topology.multi_homed topo) > 0);
       let dest, u, v = recovery_scenario topo ~seed:(p.Topo_gen.seed + 33) in
       let sim = Sim.create ~seed:p.Topo_gen.seed () in
-      let net = Rbgp_net.create sim topo ~dest ~rci:true () in
+      let net =
+        Rbgp_net.create ~rci:true sim topo ~dest Engine.default_config
+      in
       Rbgp_net.start net;
       Sim.run sim;
       Rbgp_net.fail_link net u v;
@@ -115,7 +119,7 @@ let prop_lemma_3_2_tier1_peer_failure =
         mh.(Random.State.int st (Array.length mh))
       in
       let sim = Sim.create ~seed:p.Topo_gen.seed () in
-      let net = Bgp_net.create sim topo ~dest () in
+      let net = Bgp_net.create sim topo ~dest Engine.default_config in
       Bgp_net.start net;
       Sim.run sim;
       (* fail one tier-1 peer link *)

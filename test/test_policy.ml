@@ -23,7 +23,7 @@ let test_deny_equals_link_failure_bgp () =
   let dest = vtx t 3 in
   let run f =
     let sim = Sim.create ~seed:4 () in
-    let net = Bgp_net.create sim t ~dest () in
+    let net = Bgp_net.create sim t ~dest Engine.default_config in
     Bgp_net.start net;
     Sim.run sim;
     f net;
@@ -49,7 +49,7 @@ let prop_deny_equals_link_failure =
       in
       let run f =
         let sim = Sim.create ~seed:p.Topo_gen.seed () in
-        let net = Bgp_net.create sim t ~dest () in
+        let net = Bgp_net.create sim t ~dest Engine.default_config in
         Bgp_net.start net;
         Sim.run sim;
         f net;
@@ -64,7 +64,7 @@ let test_allow_restores () =
   let t = diamond () in
   let dest = vtx t 3 in
   let sim = Sim.create ~seed:4 () in
-  let net = Bgp_net.create sim t ~dest () in
+  let net = Bgp_net.create sim t ~dest Engine.default_config in
   Bgp_net.start net;
   Sim.run sim;
   let original = Bgp_net.to_table net in
@@ -81,7 +81,7 @@ let test_stamp_survives_policy_withdraw () =
   let dest = vtx t 3 in
   let sim = Sim.create ~seed:7 () in
   let coloring = Coloring.create Coloring.Random_choice ~seed:7 t ~dest in
-  let net = Stamp_net.create sim t ~dest ~coloring () in
+  let net = Stamp_net.create sim t ~dest ~coloring Engine.default_config in
   Stamp_net.start net;
   Sim.run sim;
   Stamp_net.deny_export net dest (vtx t 1);
@@ -127,7 +127,7 @@ let test_scenario_shape () =
 let test_deny_invalid_args () =
   let t = diamond () in
   let sim = Sim.create () in
-  let net = Bgp_net.create sim t ~dest:(vtx t 3) () in
+  let net = Bgp_net.create sim t ~dest:(vtx t 3) Engine.default_config in
   Alcotest.check_raises "not adjacent"
     (Invalid_argument "Bgp_net.deny_export: vertices not adjacent") (fun () ->
       Bgp_net.deny_export net (vtx t 3) (vtx t 10))

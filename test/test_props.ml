@@ -130,7 +130,7 @@ let prop_heap_is_stable_sort =
     QCheck2.Gen.(list_size (int_range 0 100) (int_range 0 20))
     QCheck2.Print.(list int)
     (fun times ->
-      let h = Event_heap.create () in
+      let h = Event_heap.create ~filler:0 in
       List.iteri (fun i t -> Event_heap.push h ~time:(float_of_int t) i) times;
       let rec drain acc =
         match Event_heap.pop_min h with

@@ -8,7 +8,7 @@ let vtx = Test_support.vtx
 
 let converge ?(seed = 7) ~rci topo ~dest =
   let sim = Sim.create ~seed () in
-  let net = Rbgp_net.create sim topo ~dest ~rci () in
+  let net = Rbgp_net.create ~rci sim topo ~dest Engine.default_config in
   Rbgp_net.start net;
   Sim.run sim;
   (sim, net)

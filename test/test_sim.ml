@@ -3,7 +3,7 @@
 (* --- Event_heap ------------------------------------------------------ *)
 
 let test_heap_ordering () =
-  let h = Event_heap.create () in
+  let h = Event_heap.create ~filler:"" in
   Event_heap.push h ~time:3. "c";
   Event_heap.push h ~time:1. "a";
   Event_heap.push h ~time:2. "b";
@@ -14,7 +14,7 @@ let test_heap_ordering () =
   Alcotest.(check bool) "empty" true (Event_heap.pop_min h = None)
 
 let test_heap_fifo_ties () =
-  let h = Event_heap.create () in
+  let h = Event_heap.create ~filler:0 in
   for i = 0 to 9 do
     Event_heap.push h ~time:1. i
   done;
@@ -25,23 +25,53 @@ let test_heap_fifo_ties () =
   done
 
 let test_heap_nan_rejected () =
-  let h = Event_heap.create () in
+  let h = Event_heap.create ~filler:() in
   Alcotest.check_raises "nan" (Invalid_argument "Event_heap.push: NaN time")
     (fun () -> Event_heap.push h ~time:Float.nan ())
 
 let test_heap_peek () =
-  let h = Event_heap.create () in
+  let h = Event_heap.create ~filler:() in
   Alcotest.(check bool) "empty peek" true (Event_heap.peek_time h = None);
   Event_heap.push h ~time:5. ();
   Alcotest.(check bool) "peek" true (Event_heap.peek_time h = Some 5.);
   Alcotest.(check int) "size" 1 (Event_heap.size h)
+
+(* Popped payloads must not stay reachable through the heap's vacated
+   slots: a simulation's delivered events would otherwise pin their
+   closures and messages up to the heap's high-water mark. *)
+let test_heap_releases_popped () =
+  let n = 100 in
+  let h = Event_heap.create ~filler:(ref (-1)) in
+  let tracked = Weak.create n in
+  let[@inline never] push_all () =
+    for i = 0 to n - 1 do
+      let payload = ref i in
+      Weak.set tracked i (Some payload);
+      Event_heap.push h ~time:(float_of_int (i * 37 mod n)) payload
+    done
+  in
+  let[@inline never] pop_all () =
+    while Option.is_some (Event_heap.pop_min h) do
+      ()
+    done
+  in
+  push_all ();
+  pop_all ();
+  Gc.full_major ();
+  let alive = ref 0 in
+  for i = 0 to n - 1 do
+    if Weak.check tracked i then incr alive
+  done;
+  Alcotest.(check int) "popped payloads still reachable" 0 !alive;
+  (* the heap itself is still live here *)
+  Alcotest.(check int) "drained" 0 (Event_heap.size h)
 
 let prop_heap_sorts =
   Test_support.qtest "heap pops in nondecreasing time order"
     QCheck2.Gen.(list_size (int_range 1 200) (float_range 0. 100.))
     QCheck2.Print.(list float)
     (fun times ->
-      let h = Event_heap.create () in
+      let h = Event_heap.create ~filler:() in
       List.iter (fun t -> Event_heap.push h ~time:t ()) times;
       let rec drain last =
         match Event_heap.pop_min h with
@@ -303,6 +333,8 @@ let () =
           Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
           Alcotest.test_case "nan rejected" `Quick test_heap_nan_rejected;
           Alcotest.test_case "peek/size" `Quick test_heap_peek;
+          Alcotest.test_case "popped payloads are released" `Quick
+            test_heap_releases_popped;
           prop_heap_sorts;
         ] );
       ( "sim",

@@ -14,7 +14,9 @@ let converge ?(seed = 7) ?coloring topo ~dest =
     | None -> Coloring.create Coloring.Random_choice ~seed topo ~dest
   in
   let sim = Sim.create ~seed () in
-  let net = Stamp_net.create sim topo ~dest ~coloring () in
+  let net =
+    Stamp_net.create sim topo ~dest ~coloring Engine.default_config
+  in
   Stamp_net.start net;
   Sim.run sim;
   (sim, net)

@@ -6,30 +6,16 @@
      dune exec examples/provider_failure.exe            # 500-AS topology
      dune exec examples/provider_failure.exe -- 2000 9  # size and seed   *)
 
-(* Cumulative count of ASes that were unable to deliver at any probe up to
-   each offset — probing every 20 ms of virtual time (transient windows are
-   as short as one message delay, so coarse sampling would miss them). *)
-let timeline sim probe offsets =
-  let ever = Hashtbl.create 64 in
-  let note () =
-    Array.iteri
-      (fun v s ->
-        if not (Fwd_walk.equal_status s Fwd_walk.Delivered) then
-          Hashtbl.replace ever v ())
-      (probe ())
-  in
-  note ();
-  let base = Sim.now sim in
-  List.map
-    (fun dt ->
-      let target = base +. dt in
-      while Sim.now sim < target do
-        let before = Sim.events_processed sim in
-        Sim.run ~until:(Float.min target (Sim.now sim +. 0.02)) sim;
-        if Sim.events_processed sim > before then note ()
-      done;
-      (dt, Hashtbl.length ever))
-    offsets
+(* Cumulative count of ASes that were unable to deliver at some probe up to
+   [dt] seconds after the failure, read off the run's outage windows. The
+   monitor probes every 20 ms of virtual time (transient windows are as
+   short as one message delay, so coarse sampling would miss them). *)
+let lost_by (tl : Timeline.t) dt =
+  List.filter_map
+    (fun (w : Timeline.window) ->
+      if w.from_t -. tl.event_time <= dt then Some w.asn else None)
+    tl.windows
+  |> List.sort_uniq compare |> List.length
 
 let offsets = [ 0.0; 0.05; 0.1; 0.5; 1.0; 5.0; 15.0; 30.0; 60.0; 120.0 ]
 
@@ -41,56 +27,22 @@ let () =
   let st = Random.State.make [| seed |] in
   let spec = Scenario.single_link st topo in
   Format.printf "scenario: %a@.@." (Scenario.pp_spec topo) spec;
-  let dest = spec.Scenario.dest in
-  let fail_events net_fail =
-    List.iter
-      (function
-        | Scenario.Fail_link (u, v) -> net_fail u v
-        | _ -> assert false (* single_link only emits link failures *))
-      spec.Scenario.events
-  in
   let rows =
     List.map
       (fun proto ->
-        let sim = Sim.create ~seed () in
-        let fail, probe =
-          match (proto : Runner.protocol) with
-          | Bgp ->
-            let net = Bgp_net.create sim topo ~dest Engine.default_config in
-            Bgp_net.start net;
-            Sim.run sim;
-            (Bgp_net.fail_link net, fun () -> Bgp_net.walk_all net)
-          | Rbgp | Rbgp_no_rci ->
-            let net =
-              Rbgp_net.create ~rci:(proto = Runner.Rbgp) sim topo ~dest
-                Engine.default_config
-            in
-            Rbgp_net.start net;
-            Sim.run sim;
-            (Rbgp_net.fail_link net, fun () -> Rbgp_net.walk_all net)
-          | Stamp ->
-            let coloring =
-              Coloring.create Coloring.Random_choice ~seed topo ~dest
-            in
-            let net =
-              Stamp_net.create sim topo ~dest ~coloring Engine.default_config
-            in
-            Stamp_net.start net;
-            Sim.run sim;
-            (Stamp_net.fail_link net, fun () -> Stamp_net.walk_all net)
-        in
-        fail_events fail;
-        (Runner.protocol_name proto, timeline sim probe offsets))
+        let r = Runner.run ~seed ~trace:(Trace.memory ()) proto topo spec in
+        (* a memory sink always yields the timeline *)
+        (Runner.protocol_name proto, Option.get r.Runner.timeline))
       Runner.all_protocols
   in
   Format.printf "cumulative ASes that lost delivery at some point, by time after failure:@.@.";
   Format.printf "%-10s" "t (s)";
   List.iter (fun (name, _) -> Format.printf "%20s" name) rows;
   Format.printf "@.";
-  List.iteri
-    (fun i dt ->
+  List.iter
+    (fun dt ->
       Format.printf "%-10.2f" dt;
-      List.iter (fun (_, tl) -> Format.printf "%20d" (snd (List.nth tl i))) rows;
+      List.iter (fun (_, tl) -> Format.printf "%20d" (lost_by tl dt)) rows;
       Format.printf "@.")
     offsets;
   Format.printf

@@ -2,11 +2,13 @@
     Each returns a structured result; {!Report} renders them as the rows
     and series the paper plots.
 
-    Every sweep over (protocol, scenario-instance) pairs accepts an
-    optional {!Parallel.t} pool and distributes its independent
-    [Runner.run] jobs over it. Determinism contract: each job derives all
-    randomness from its own explicit seed ([seed + instance], exactly as
-    the sequential loops always did), so for fixed seeds the returned
+    Every sweep runs on one job grid: it samples [instances] scenarios
+    from [Random.State.make [| seed |]], runs one job per (arm, instance)
+    pair — an arm is a protocol, an engine variant or a parameter value —
+    and aggregates the results per arm. The jobs are independent
+    [Runner] runs distributed over the optional {!Parallel.t} pool.
+    Determinism contract: each job derives all randomness from its own
+    explicit seed ([seed + instance]), so for fixed seeds the returned
     numbers are {e bit-identical} whether [pool] is absent, has one
     worker, or has many. *)
 
@@ -55,23 +57,6 @@ val failure_bars_stats :
     instances (mean, standard deviation, median, extremes) — failure
     impact is heavy-tailed, so a bar without spread is easy to
     over-read. *)
-
-val engine_bars :
-  ?pool:Parallel.t ->
-  ?instances:int ->
-  ?seed:int ->
-  ?mrai_base:float ->
-  ?interval:float ->
-  ?engines:(module Engine.S) list ->
-  scenario:(Random.State.t -> Topology.t -> Scenario.spec) ->
-  Topology.t ->
-  (string * float) list
-(** The fully generic sweep behind {!failure_bars}: average transient
-    counts for an arbitrary engine list, keyed by engine name. [engines]
-    defaults to every registered engine ({!Engine.Registry.all}, in
-    registration order), so a newly registered protocol shows up in the
-    sweep without touching this module. Same determinism contract and
-    per-instance seeding as {!failure_bars}. *)
 
 type overhead_result = {
   protocol : Runner.protocol;
@@ -261,24 +246,3 @@ val trace_overhead :
     is null-sink overhead within noise of the baseline (≤ 5 %); the memory
     pass prices actual recording. Deliberately sequential (no [?pool]):
     sinks are single-domain state and the metric is per-core cost. *)
-
-(** {1 Pre-flight validation}
-
-    The static analyzer applied to a whole sweep's worth of scenario
-    instances before anything is simulated. *)
-
-val preflight :
-  ?pool:Parallel.t ->
-  ?instances:int ->
-  ?seed:int ->
-  ?mrai_base:float ->
-  ?detect_delay:float ->
-  scenario:(Random.State.t -> Topology.t -> Scenario.spec) ->
-  Topology.t ->
-  (Scenario.spec * Staticcheck.report) list
-(** Sample [instances] scenarios exactly as the sweeps do (default 20,
-    same [seed] convention) and batch them through
-    {!Staticcheck.preflight} over [pool] — each report carries per-check
-    timings, so analyzer cost is measurable per instance. A sweep whose
-    pre-flight shows error-free reports cannot be rejected by
-    [?validate:`Strict] runs on the same specs. *)

@@ -36,9 +36,12 @@ val observe :
   probe:(unit -> Fwd_walk.status array) ->
   unit ->
   summary
-(** Drive the simulation to convergence like {!Transient.run}, probing
-    every [interval] (default 0.02 s) and aggregating the per-AS statuses
-    into buckets of [bucket] seconds (default 1 s). [max_events] (default
-    50 million) and [max_vtime] (default unbounded) bound the loop; when a
-    budget hits, the partial summary is returned with the matching
-    {!Sim.verdict}. *)
+(** Fold the probes of {!Transient.run_guarded} into buckets of [bucket]
+    seconds (default 1 s) after the observation start: each probe (every
+    [interval], default 0.02 s, plus the monitor's first and final probes)
+    adds its per-AS statuses to the bucket of the virtual time it was taken
+    at. [max_events] (default 50 million) and [max_vtime] (default
+    unbounded) bound the run as in {!Transient.run_guarded}; when a budget
+    hits, the partial summary is returned with the matching
+    {!Sim.verdict}.
+    @raise Invalid_argument if [interval] or [bucket] is not positive. *)

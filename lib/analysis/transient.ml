@@ -9,49 +9,40 @@ type outcome = {
 let transient_count o =
   Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 o.transient
 
-(* Shared monitor core: drive the simulation in [interval]-sized slices,
+(* The one probe loop: drive the simulation in [interval]-sized slices,
    probing the forwarding plane after every slice in which events fired,
-   until the queue drains or a budget runs out. Returns the verdict
-   alongside the outcome; [run] keeps the historical raising behaviour on
-   top of it. *)
-let run_watched sim ~interval ~max_events ~max_vtime ~on_status ~probe =
-  if interval <= 0. then invalid_arg "Transient.run: non-positive interval";
+   until the queue drains or a budget runs out. *)
+let run_guarded sim ?(interval = 0.02) ?(max_events = 50_000_000)
+    ?(max_vtime = infinity) ?(on_status = fun ~changed:_ _ _ -> ()) ~probe () =
+  (* [not (interval > 0.)] also rejects NaN, which would otherwise run the
+     whole reconvergence as one slice *)
+  if not (interval > 0.) then
+    invalid_arg "Transient.run_guarded: non-positive or NaN interval";
   let first = probe () in
   let n = Array.length first in
   let troubled = Array.make n false in
   let prev = ref first in
   let last_status_change = ref (Sim.now sim) in
+  (* one per-AS diff against the previous checkpoint: it feeds the
+     troubled set, [last_status_change] and the observer *)
   let note statuses =
+    let before = !prev in
+    let any = ref false in
     Array.iteri
       (fun v s ->
         if not (Fwd_walk.equal_status s Fwd_walk.Delivered) then
-          troubled.(v) <- true)
+          troubled.(v) <- true;
+        if not (Fwd_walk.equal_status s before.(v)) then begin
+          any := true;
+          on_status ~changed:true v s
+        end)
       statuses;
-    (* change detection: with an observer, report each AS whose status
-       moved since the previous checkpoint (the exact per-AS deltas the
-       aggregate below is computed from); without one, keep the historical
-       short-circuiting comparison *)
-    (match on_status with
-    | None ->
-      if not (Array.for_all2 Fwd_walk.equal_status statuses !prev) then
-        last_status_change := Sim.now sim
-    | Some f ->
-      let any = ref false in
-      Array.iteri
-        (fun v s ->
-          if not (Fwd_walk.equal_status s !prev.(v)) then begin
-            any := true;
-            f ~changed:true v s
-          end)
-        statuses;
-      if !any then last_status_change := Sim.now sim);
+    if !any then last_status_change := Sim.now sim;
     prev := statuses
   in
   (* baseline snapshot: every AS's status at the observation start, before
      any checkpoint — reported unchanged so observers can seed their state *)
-  (match on_status with
-  | Some f -> Array.iteri (fun v s -> f ~changed:false v s) first
-  | None -> ());
+  Array.iteri (fun v s -> on_status ~changed:false v s) first;
   note first;
   let checkpoints = ref 1 in
   let events_budget = ref max_events in
@@ -79,13 +70,11 @@ let run_watched sim ~interval ~max_events ~max_vtime ~on_status ~probe =
      [last_status_change] or the troubled set — historical semantics);
      report its deltas as unchanged corrections so observers still see the
      end state of every AS *)
-  (match on_status with
-  | Some f ->
-    Array.iteri
-      (fun v s ->
-        if not (Fwd_walk.equal_status s !prev.(v)) then f ~changed:false v s)
-      final
-  | None -> ());
+  Array.iteri
+    (fun v s ->
+      if not (Fwd_walk.equal_status s !prev.(v)) then
+        on_status ~changed:false v s)
+    final;
   let transient =
     Array.mapi
       (fun v bad -> bad && Fwd_walk.equal_status final.(v) Fwd_walk.Delivered)
@@ -99,17 +88,3 @@ let run_watched sim ~interval ~max_events ~max_vtime ~on_status ~probe =
       last_status_change = !last_status_change;
     },
     !verdict )
-
-let run_guarded sim ?(interval = 0.02) ?(max_events = 50_000_000)
-    ?(max_vtime = infinity) ?on_status ~probe () =
-  run_watched sim ~interval ~max_events ~max_vtime ~on_status ~probe
-
-let run sim ?(interval = 0.02) ?(max_events = 50_000_000) ~probe () =
-  let outcome, verdict =
-    run_watched sim ~interval ~max_events ~max_vtime:infinity ~on_status:None
-      ~probe
-  in
-  match verdict with
-  | Sim.Converged -> outcome
-  | Sim.Event_budget_exhausted | Sim.Time_budget_exhausted ->
-    failwith "Transient.run: event budget exceeded (non-convergence?)"

@@ -26,19 +26,6 @@ type outcome = {
 val transient_count : outcome -> int
 (** Number of ASes with [transient.(v) = true]. *)
 
-val run :
-  Sim.t ->
-  ?interval:float ->
-  ?max_events:int ->
-  probe:(unit -> Fwd_walk.status array) ->
-  unit ->
-  outcome
-(** Probe immediately (the instant of the routing event), then repeatedly
-    every [interval] seconds of virtual time (default 0.02 s, matching the paper's 10-20 ms message delays so transient windows are not missed; probes are skipped while no events fire, so quiet MRAI gaps cost nothing) until the
-    event queue drains, then probe one final time. [max_events] (default
-    50 million) guards against non-termination and raises [Failure] when
-    exceeded with events still pending. *)
-
 val run_guarded :
   Sim.t ->
   ?interval:float ->
@@ -48,14 +35,23 @@ val run_guarded :
   probe:(unit -> Fwd_walk.status array) ->
   unit ->
   outcome * Sim.verdict
-(** Like {!run} but returns a {!Sim.verdict} instead of raising, so sweeps
-    over adversarial or churn-heavy instances degrade gracefully:
-    {!Sim.Event_budget_exhausted} when [max_events] fired with events still
-    pending, {!Sim.Time_budget_exhausted} when the clock reached
-    [max_vtime] (default: unbounded) with events still pending. On a
-    non-{!Sim.Converged} verdict the outcome reports whatever the monitor
-    observed up to the kill point (the final probe still runs, so [final]
-    reflects the forwarding plane at the moment the budget hit).
+(** Probe immediately (the instant of the routing event), then repeatedly
+    every [interval] seconds of virtual time (default 0.02 s, matching the
+    paper's 10-20 ms message delays so transient windows are not missed;
+    probes are skipped while no events fire, so quiet MRAI gaps cost
+    nothing) until the event queue drains, then probe one final time.
+    Every probe counts in [checkpoints]. This is the one probe loop of the
+    analysis layer: {!Traffic.observe} is a fold over its probes.
+
+    Returns how the run ended instead of raising, so sweeps over
+    adversarial or churn-heavy instances degrade gracefully:
+    {!Sim.Event_budget_exhausted} when [max_events] (default 50 million)
+    fired with events still pending, {!Sim.Time_budget_exhausted} when the
+    clock reached [max_vtime] (default: unbounded) with events still
+    pending. On a non-{!Sim.Converged} verdict the outcome reports whatever
+    the monitor observed up to the kill point (the final probe still runs,
+    so [final] reflects the forwarding plane at the moment the budget
+    hit).
 
     [on_status] observes the per-AS statuses the aggregate outcome is
     computed from, in a protocol precise enough to reconstruct it exactly:
@@ -68,4 +64,6 @@ val run_guarded :
     status differs from the last checkpoint with [changed:false] (the
     final probe never moves [last_status_change] or the troubled set —
     historical semantics). Pure observation: the monitor's behaviour is
-    identical with or without it. *)
+    identical with or without it.
+    @raise Invalid_argument if [interval] is not positive (zero, negative
+    or NaN). *)

@@ -3,14 +3,22 @@
 
 (* --- Transient monitor -------------------------------------------------- *)
 
-(* Drive the monitor with a scripted probe: AS 1 is broken for the first
-   two checkpoints then recovers; AS 2 is broken forever. *)
-let test_transient_counting () =
+(* A scripted simulation: five spaced events, so the monitor takes
+   checkpoints between them. *)
+let scripted_sim () =
   let sim = Sim.create () in
-  (* schedule a few spaced events so the monitor takes checkpoints *)
   for i = 1 to 5 do
     Sim.schedule sim ~delay:(0.03 *. float_of_int i) (fun _ -> ())
   done;
+  sim
+
+let check_verdict name want got =
+  Alcotest.(check string) name (Sim.verdict_name want) (Sim.verdict_name got)
+
+(* Drive the monitor with a scripted probe: AS 1 is broken for the first
+   two checkpoints then recovers; AS 2 is broken forever. *)
+let test_transient_counting () =
+  let sim = scripted_sim () in
   let calls = ref 0 in
   let probe () =
     incr calls;
@@ -21,7 +29,8 @@ let test_transient_counting () =
       Fwd_walk.Looped;
     |]
   in
-  let o = Transient.run sim ~interval:0.02 ~probe () in
+  let o, verdict = Transient.run_guarded sim ~interval:0.02 ~probe () in
+  check_verdict "converged" Sim.Converged verdict;
   Alcotest.(check int) "one transient AS" 1 (Transient.transient_count o);
   Alcotest.(check bool) "AS1 transient" true o.Transient.transient.(1);
   Alcotest.(check bool) "AS2 permanent, not transient" false
@@ -32,7 +41,8 @@ let test_transient_none () =
   let sim = Sim.create () in
   Sim.schedule sim ~delay:0.01 (fun _ -> ());
   let probe () = [| Fwd_walk.Delivered; Fwd_walk.Delivered |] in
-  let o = Transient.run sim ~probe () in
+  let o, verdict = Transient.run_guarded sim ~probe () in
+  check_verdict "converged" Sim.Converged verdict;
   Alcotest.(check int) "none" 0 (Transient.transient_count o)
 
 let test_transient_event_budget () =
@@ -41,9 +51,27 @@ let test_transient_event_budget () =
   let rec tick s = Sim.schedule s ~delay:0.001 tick in
   tick sim;
   let probe () = [| Fwd_walk.Delivered |] in
-  Alcotest.check_raises "budget"
-    (Failure "Transient.run: event budget exceeded (non-convergence?)")
-    (fun () -> ignore (Transient.run sim ~max_events:100 ~probe ()))
+  let _, verdict = Transient.run_guarded sim ~max_events:100 ~probe () in
+  check_verdict "budget" Sim.Event_budget_exhausted verdict
+
+(* Traffic is a fold over the monitor's probes: on the same schedule it
+   sees exactly the monitor's checkpoints, no extra probe at the end. *)
+let test_traffic_probes_are_checkpoints () =
+  let counting () =
+    let calls = ref 0 in
+    (calls, fun () -> incr calls; [| Fwd_walk.Delivered; Fwd_walk.Blackholed |])
+  in
+  let monitor_calls, probe = counting () in
+  let o, _ = Transient.run_guarded (scripted_sim ()) ~probe () in
+  let traffic_calls, probe = counting () in
+  let s = Traffic.observe (scripted_sim ()) ~probe () in
+  Alcotest.(check int) "monitor probes = checkpoints" o.Transient.checkpoints
+    !monitor_calls;
+  Alcotest.(check int) "traffic probes = checkpoints" o.Transient.checkpoints
+    !traffic_calls;
+  Alcotest.(check int) "one loss per probe" o.Transient.checkpoints
+    s.Traffic.loss_events;
+  check_verdict "verdict" Sim.Converged s.Traffic.verdict
 
 (* --- Scenario generators ------------------------------------------------ *)
 
@@ -314,6 +342,160 @@ let test_overhead_and_delay () =
         (r.Experiment.avg_delay >= 0.))
     rows
 
+(* --- the sweep grid's contract ------------------------------------------ *)
+
+(* Every sweep must equal a hand-rolled loop over specs drawn in order from
+   [Random.State.make [| seed |]], instance [i] running with seed
+   [seed + i], inline and on a 2-worker pool alike. Seed 9 draws a spec on
+   which BGP has transient ASes, so an arm mix-up changes the numbers. *)
+let grid_seed = 9
+let grid_instances = 2
+
+let hand_rolled f =
+  let topo = Lazy.force topo200 in
+  let st = Random.State.make [| grid_seed |] in
+  List.init grid_instances (fun i -> (i, Scenario.single_link st topo))
+  |> List.map (fun (i, spec) -> f ~seed:(grid_seed + i) topo spec)
+
+let hand_avg f =
+  float_of_int (List.fold_left ( + ) 0 (hand_rolled f))
+  /. float_of_int grid_instances
+
+let count (r : Runner.result) = r.transient_count
+
+(* [sweep pool] runs the sweep on [grid_instances] instances from
+   [grid_seed]; [compare] rather than [=]: a share of no losses is [nan] *)
+let check_sweep expected sweep =
+  Alcotest.(check bool) "inline = hand-rolled" true
+    (compare expected (sweep None) = 0);
+  Parallel.with_pool ~jobs:2 (fun pool ->
+      Alcotest.(check bool) "2 workers = hand-rolled" true
+        (compare expected (sweep (Some pool)) = 0))
+
+let grid_values = [ 10.; 0.5 ]
+
+let test_grid_failure_bars_stats () =
+  let expected =
+    List.map
+      (fun p ->
+        ( p,
+          Stat.summarize
+            (hand_rolled (fun ~seed topo spec ->
+                 float_of_int (count (Runner.run ~seed p topo spec)))) ))
+      Runner.all_protocols
+  in
+  check_sweep expected (fun pool ->
+      Experiment.failure_bars_stats ?pool ~instances:grid_instances
+        ~seed:grid_seed ~scenario:Scenario.single_link (Lazy.force topo200))
+
+let test_grid_ablation_mrai () =
+  let expected =
+    List.map
+      (fun mrai_base ->
+        ( mrai_base,
+          List.map
+            (fun p ->
+              let rs =
+                hand_rolled (fun ~seed topo spec ->
+                    Runner.run ~seed ~mrai_base p topo spec)
+              in
+              ( p,
+                Stat.mean (List.map (fun r -> float_of_int (count r)) rs),
+                Stat.mean (List.map (fun r -> r.Runner.convergence_delay) rs)
+              ))
+            Runner.all_protocols ))
+      grid_values
+  in
+  check_sweep expected (fun pool ->
+      Experiment.ablation_mrai ?pool ~instances:grid_instances
+        ~seed:grid_seed ~values:grid_values (Lazy.force topo200))
+
+let test_grid_ablation_detection () =
+  let expected =
+    List.map
+      (fun detect_delay ->
+        ( detect_delay,
+          List.map
+            (fun p ->
+              ( p,
+                hand_avg (fun ~seed topo spec ->
+                    count (Runner.run ~seed ~detect_delay p topo spec)) ))
+            Runner.all_protocols ))
+      grid_values
+  in
+  check_sweep expected (fun pool ->
+      Experiment.ablation_detection ?pool ~instances:grid_instances
+        ~seed:grid_seed ~values:grid_values (Lazy.force topo200))
+
+let test_grid_ablation_stamp_variants () =
+  let expected =
+    List.map
+      (fun (label, engine) ->
+        ( label,
+          hand_avg (fun ~seed topo spec ->
+              count (Runner.run_engine ~seed engine topo spec)) ))
+      [
+        ("baseline (lock-only blue, random colouring)", Stamp_engine.default);
+        ( "spread unlocked blue to providers",
+          Stamp_engine.make ~spread_unlocked_blue:true () );
+        ( "intelligent locked-blue colouring",
+          Stamp_engine.make ~strategy:(Coloring.Intelligent { samples = 30 }) ()
+        );
+      ]
+  in
+  check_sweep expected (fun pool ->
+      Experiment.ablation_stamp_variants ?pool ~instances:grid_instances
+        ~seed:grid_seed (Lazy.force topo200))
+
+let test_grid_ablation_probe_interval () =
+  let intervals = [ 0.02; 1.0 ] in
+  let expected =
+    List.map
+      (fun interval ->
+        ( interval,
+          hand_avg (fun ~seed topo spec ->
+              count (Runner.run ~seed ~interval Runner.Bgp topo spec)) ))
+      intervals
+  in
+  check_sweep expected (fun pool ->
+      Experiment.ablation_probe_interval ?pool ~instances:grid_instances
+        ~seed:grid_seed ~values:intervals (Lazy.force topo200))
+
+let test_grid_motivation () =
+  let expected =
+    List.map
+      (fun p ->
+        let ss =
+          hand_rolled (fun ~seed topo spec ->
+              Runner.run_traffic ~seed p topo spec)
+        in
+        let total f = List.fold_left (fun acc s -> acc + f s) 0 ss in
+        let loss = total (fun s -> s.Traffic.loss_events)
+        and loops = total (fun s -> s.Traffic.loop_events) in
+        (p, if loss = 0 then nan else float_of_int loops /. float_of_int loss))
+      Runner.all_protocols
+  in
+  check_sweep expected (fun pool ->
+      Experiment.motivation_loss_composition ?pool ~instances:grid_instances
+        ~seed:grid_seed (Lazy.force topo200))
+
+let test_grid_partial_deployment_dynamic () =
+  let tiers = Tiers.classify (Lazy.force topo200) in
+  let expected =
+    List.map
+      (fun k ->
+        ( k,
+          hand_avg (fun ~seed topo spec ->
+              count
+                (Runner.run_engine ~seed
+                   (Hybrid_net.engine ~deployed:(fun v -> tiers.(v) <= k) ())
+                   topo spec)) ))
+      [ 0; 1 ]
+  in
+  check_sweep expected (fun pool ->
+      Experiment.partial_deployment_dynamic ?pool ~instances:grid_instances
+        ~seed:grid_seed ~max_tier:1 (Lazy.force topo200))
+
 let () =
   Alcotest.run "analysis"
     [
@@ -322,6 +504,8 @@ let () =
           Alcotest.test_case "counting" `Quick test_transient_counting;
           Alcotest.test_case "none" `Quick test_transient_none;
           Alcotest.test_case "event budget" `Quick test_transient_event_budget;
+          Alcotest.test_case "traffic probes = checkpoints" `Quick
+            test_traffic_probes_are_checkpoints;
         ] );
       ( "scenario",
         [
@@ -348,5 +532,19 @@ let () =
           Alcotest.test_case "fig1 fields" `Quick test_fig1_fields_consistent;
           Alcotest.test_case "bars ordering" `Quick test_failure_bars_ordering;
           Alcotest.test_case "overhead and delay" `Quick test_overhead_and_delay;
+          Alcotest.test_case "grid: failure_bars_stats" `Quick
+            test_grid_failure_bars_stats;
+          Alcotest.test_case "grid: ablation_mrai" `Quick
+            test_grid_ablation_mrai;
+          Alcotest.test_case "grid: ablation_detection" `Quick
+            test_grid_ablation_detection;
+          Alcotest.test_case "grid: ablation_stamp_variants" `Quick
+            test_grid_ablation_stamp_variants;
+          Alcotest.test_case "grid: ablation_probe_interval" `Quick
+            test_grid_ablation_probe_interval;
+          Alcotest.test_case "grid: motivation_loss_composition" `Quick
+            test_grid_motivation;
+          Alcotest.test_case "grid: partial_deployment_dynamic" `Quick
+            test_grid_partial_deployment_dynamic;
         ] );
     ]

@@ -94,6 +94,17 @@ let rules =
         contains_fragment [ "engine/path_vector.ml"; "core/stamp_net.ml" ];
       why = "build path-vector protocols on Path_vector.Make";
     };
+    (* One forwarding-plane probe loop: the transient monitor slices the
+       simulation and probes between slices; every other measurement
+       (Traffic, perfbench's spans) wraps its probe instead of driving the
+       simulator itself. *)
+    {
+      name = "one probe loop: Sim.run ~until";
+      patterns = [ "Sim.run ~until"; "Sim.run sim ~until" ];
+      dirs = [ "lib"; "bin"; "bench" ];
+      allowed = contains_fragment [ "analysis/transient.ml" ];
+      why = "wrap the probe of Transient.run_guarded instead";
+    };
     (* Libraries report through Logs / Fmt / returned values; writing to
        stdout from lib/ corrupts machine-readable output (stamp_check
        --json, the bench JSON) and bypasses log levels. Executables own

@@ -163,6 +163,31 @@ let test_missing_files () =
   Alcotest.(check bool) "scenario" true
     (raises_sys_error (fun () -> Scenario_io.load (diamond ()) missing))
 
+(* --- the transient monitor and its traffic fold ------------------------ *)
+
+let test_transient_interval () =
+  let run interval () =
+    Transient.run_guarded (Sim.create ()) ~interval
+      ~probe:(fun () -> [| Fwd_walk.Delivered |])
+      ()
+  in
+  let msg = "Transient.run_guarded: non-positive or NaN interval" in
+  check_invalid "zero" msg (run 0.);
+  check_invalid "negative" msg (run (-0.02));
+  check_invalid "NaN" msg (run Float.nan)
+
+let test_traffic_interval_and_bucket () =
+  let observe ~interval ~bucket () =
+    Traffic.observe (Sim.create ()) ~interval ~bucket
+      ~probe:(fun () -> [| Fwd_walk.Delivered |])
+      ()
+  in
+  let msg = "Traffic.observe: non-positive interval or bucket" in
+  check_invalid "zero interval" msg (observe ~interval:0. ~bucket:1.);
+  check_invalid "negative interval" msg (observe ~interval:(-1.) ~bucket:1.);
+  check_invalid "zero bucket" msg (observe ~interval:0.02 ~bucket:0.);
+  check_invalid "negative bucket" msg (observe ~interval:0.02 ~bucket:(-1.))
+
 let () =
   Alcotest.run "io_errors"
     [
@@ -192,5 +217,12 @@ let () =
           Alcotest.test_case "bad path files" `Quick test_topo_bad_paths;
           Alcotest.test_case "missing files raise Sys_error" `Quick
             test_missing_files;
+        ] );
+      ( "analysis",
+        [
+          Alcotest.test_case "transient interval" `Quick
+            test_transient_interval;
+          Alcotest.test_case "traffic interval and bucket" `Quick
+            test_traffic_interval_and_bucket;
         ] );
     ]

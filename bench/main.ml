@@ -644,13 +644,41 @@ let micro cfg =
     Test.make ~name:"phi_one_destination_20_samples"
       (Staged.stage (fun () -> ignore (Phi.phi ~samples:20 st t ~dest)))
   in
-  let bench_walk =
+  let net =
     let sim = Sim.create ~seed:cfg.seed () in
     let net = Bgp_net.create sim t ~dest Engine.default_config in
     Bgp_net.start net;
     Sim.run sim;
+    net
+  in
+  let bench_walk =
     Test.make ~name:"forwarding_walk_all_ases"
       (Staged.stage (fun () -> ignore (Bgp_net.walk_all net)))
+  in
+  (* the monitor's incremental path over the same converged routes: one
+     tier-1 AS marked dirty (every AS routing through it is re-walked),
+     then a probe *)
+  let bench_probe =
+    let step v () =
+      match Bgp_net.next_hop net v with
+      | Some nh -> `Forward (nh, ())
+      | None -> `Drop
+    in
+    let probe m =
+      Fwd_monitor.probe m ~dest ~start:ignore ~step ~state_id:(fun () -> 0)
+        ~num_states:1
+    in
+    let m = Fwd_monitor.create (Topology.num_vertices t) in
+    ignore (probe m);
+    let tier1 =
+      List.find
+        (fun v -> Array.length (Topology.providers t v) = 0 && v <> dest)
+        (Array.to_list (Topology.vertices t))
+    in
+    Test.make ~name:"forwarding_probe_incremental"
+      (Staged.stage (fun () ->
+           Fwd_monitor.touch m tier1;
+           ignore (probe m)))
   in
   let benchmark test =
     let instances = Toolkit.Instance.[ monotonic_clock ] in
@@ -676,7 +704,9 @@ let micro cfg =
           | Some (e :: _) -> Format.printf "%-36s %12.1f ns/run@." name e
           | Some [] | None -> Format.printf "%-36s (no estimate)@." name)
         results)
-    [ bench_decision; bench_heap; bench_oracle; bench_phi; bench_walk ]
+    [
+      bench_decision; bench_heap; bench_oracle; bench_phi; bench_walk; bench_probe;
+    ]
 
 (* --- main ---------------------------------------------------------------- *)
 

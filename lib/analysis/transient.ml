@@ -24,26 +24,34 @@ let run_guarded sim ?(interval = 0.02) ?(max_events = 50_000_000)
   let prev = ref first in
   let last_status_change = ref (Sim.now sim) in
   (* one per-AS diff against the previous checkpoint: it feeds the
-     troubled set, [last_status_change] and the observer *)
+     troubled set, [last_status_change] and the observer. The previous
+     array itself means no status changed (the probe contract), and it
+     was already folded in. *)
   let note statuses =
     let before = !prev in
-    let any = ref false in
-    Array.iteri
-      (fun v s ->
-        if not (Fwd_walk.equal_status s Fwd_walk.Delivered) then
-          troubled.(v) <- true;
-        if not (Fwd_walk.equal_status s before.(v)) then begin
-          any := true;
-          on_status ~changed:true v s
-        end)
-      statuses;
-    if !any then last_status_change := Sim.now sim;
-    prev := statuses
+    if statuses != before then begin
+      let any = ref false in
+      Array.iteri
+        (fun v s ->
+          if not (Fwd_walk.equal_status s Fwd_walk.Delivered) then
+            troubled.(v) <- true;
+          if not (Fwd_walk.equal_status s before.(v)) then begin
+            any := true;
+            on_status ~changed:true v s
+          end)
+        statuses;
+      if !any then last_status_change := Sim.now sim;
+      prev := statuses
+    end
   in
   (* baseline snapshot: every AS's status at the observation start, before
      any checkpoint — reported unchanged so observers can seed their state *)
-  Array.iteri (fun v s -> on_status ~changed:false v s) first;
-  note first;
+  Array.iteri
+    (fun v s ->
+      on_status ~changed:false v s;
+      if not (Fwd_walk.equal_status s Fwd_walk.Delivered) then
+        troubled.(v) <- true)
+    first;
   let checkpoints = ref 1 in
   let events_budget = ref max_events in
   let verdict = ref Sim.Converged in
@@ -70,11 +78,12 @@ let run_guarded sim ?(interval = 0.02) ?(max_events = 50_000_000)
      [last_status_change] or the troubled set — historical semantics);
      report its deltas as unchanged corrections so observers still see the
      end state of every AS *)
-  Array.iteri
-    (fun v s ->
-      if not (Fwd_walk.equal_status s !prev.(v)) then
-        on_status ~changed:false v s)
-    final;
+  if final != !prev then
+    Array.iteri
+      (fun v s ->
+        if not (Fwd_walk.equal_status s !prev.(v)) then
+          on_status ~changed:false v s)
+      final;
   let transient =
     Array.mapi
       (fun v bad -> bad && Fwd_walk.equal_status final.(v) Fwd_walk.Delivered)

@@ -43,6 +43,13 @@ val run_guarded :
     Every probe counts in [checkpoints]. This is the one probe loop of the
     analysis layer: {!Traffic.observe} is a fold over its probes.
 
+    [probe] contract (the one {!Engine.S.probe} keeps): returning the same
+    (physical) array as the previous probe means no AS's status changed —
+    the per-AS diff is then skipped — and a returned array is never
+    mutated afterwards, since the monitor keeps the previous one to diff
+    against. A probe returning a fresh copy every time is observed
+    identically.
+
     Returns how the run ended instead of raising, so sweeps over
     adversarial or churn-heavy instances degrade gracefully:
     {!Sim.Event_budget_exhausted} when [max_events] (default 50 million)

@@ -10,5 +10,4 @@ end)
 
 let name = "BGP"
 let create sim topo ~dest config = create () sim topo ~dest config
-let probe = walk_all
-let () = Engine.Registry.register (engine ~name ~probe ())
+let () = Engine.Registry.register (engine ~name ~forwarding:(walk ~fallback:drop) ())

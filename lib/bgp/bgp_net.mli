@@ -17,7 +17,10 @@
 type t
 
 include Engine.S with type t := t
-(** [probe] is {!walk_all}. *)
+(** [probe] walks on the engine's incremental monitor; [walk_all] is the
+    same forwarding plane from a full walk: each AS forwards along its
+    current best route; a hop over a failed link or into a failed node
+    drops the packet. *)
 
 val best : t -> Topology.vertex -> Route.t option
 (** Current best route of an AS ([Some Route.origin] at the destination). *)
@@ -27,8 +30,3 @@ val next_hop : t -> Topology.vertex -> Topology.vertex option
 val to_table : t -> Static_route.table
 (** Snapshot of all current best routes in the oracle's table format, for
     direct comparison with {!Static_route.compute}. *)
-
-val walk_all : t -> Fwd_walk.status array
-(** Forwarding-plane status of every AS right now: each AS forwards along
-    its current best route; a hop over a failed link or into a failed node
-    drops the packet. *)

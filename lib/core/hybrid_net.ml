@@ -3,12 +3,14 @@ type ext = {
   mutable backup : Route.t option;  (** the blue table *)
 }
 
-(* The RIB alternate most downhill-disjoint from the best route. *)
+(* The RIB alternate most downhill-disjoint from the best route. The
+   forwarding plane reads only its next hop, so the monitor is touched only
+   when that moves (the table is recomputed on every decision). *)
 let recompute_backup (t : (ext, _, _) Path_vector.net)
     (r : ext Path_vector.router) =
-  if r.ext.upgraded then
-    r.ext.backup <-
-      (match r.best with
+  if r.ext.upgraded then begin
+    let backup =
+      match r.best with
       | None -> None
       | Some best -> begin
         let downhill path =
@@ -35,7 +37,13 @@ let recompute_backup (t : (ext, _, _) Path_vector.net)
                   Some alt
                 else acc)
           r.adj_rib_in None
-      end)
+      end
+    in
+    let next b = Option.bind b Route.learned_from in
+    if not (Option.equal Int.equal (next backup) (next r.ext.backup)) then
+      Session_core.touch t.core r.v;
+    r.ext.backup <- backup
+  end
 
 (* The control plane is plain BGP; the blue table is refreshed after every
    decision and cleared with the router. *)
@@ -63,7 +71,7 @@ let has_disjoint_backup (t : t) v =
   | _ -> false
 
 (* packet states: false = primary (never re-coloured), true = switched *)
-let walk_all (t : t) =
+let forwarding (t : t) m =
   let links = Session_core.links t.core in
   let usable = Path_vector.usable_next links in
   let step v switched =
@@ -92,17 +100,16 @@ let walk_all (t : t) =
         | None -> `Drop
     end
   in
-  Fwd_walk.walk_all
-    ~n:(Topology.num_vertices t.topo)
-    ~dest:t.dest
+  Fwd_monitor.probe m ~dest:t.dest
     ~start:(fun _ -> false)
     ~step
     ~state_id:(fun sw -> Bool.to_int sw)
     ~num_states:2
 
+let walk_all (t : t) = forwarding t (Session_core.fresh_monitor t.core)
 
 let engine ?(name = "STAMP-BGP hybrid") ~deployed () =
-  engine ~name ~probe:walk_all deployed
+  engine ~name ~forwarding deployed
 
 let full =
   engine ~name:"STAMP-BGP hybrid (full deployment)" ~deployed:(fun _ -> true) ()

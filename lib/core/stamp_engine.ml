@@ -12,8 +12,6 @@ let make ?(spread_unlocked_blue = false) ?(strategy = Coloring.Random_choice)
          make_driver order *)
       let coloring = Coloring.create strategy ~seed:c.seed topo ~dest in
       create sim topo ~dest ~coloring ~spread_unlocked_blue c
-
-    let probe = walk_all
   end)
 
 let default = make ()

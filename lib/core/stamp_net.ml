@@ -412,8 +412,11 @@ let in_use t v =
 
 (* Colour-aware forwarding (Section 5): forward on the packet's colour;
    when that process's route is missing, broken or unstable, re-colour the
-   packet — at most once — and use the other process. *)
-let walk_all t =
+   packet — at most once — and use the other process. Every input of [step]
+   and [start] besides link state — both processes' best routes and their
+   [unstable] flags — changes only inside [recompute]'s best-route branch
+   (or with a node event), so [Session_core.note_decision] covers it. *)
+let forwarding t m =
   let links = Session_core.links t.core in
   let usable v color = Path_vector.usable_next links v (best t color v) in
   let step v (color, switched) =
@@ -454,11 +457,12 @@ let walk_all t =
     | Some c -> (c, false)
     | None -> (Color.Blue, false)
   in
-  Fwd_walk.walk_all
-    ~n:(Topology.num_vertices t.topo)
-    ~dest:t.dest ~start ~step
+  Fwd_monitor.probe m ~dest:t.dest ~start ~step
     ~state_id:(fun (c, sw) -> (2 * Color.to_int c) + Bool.to_int sw)
     ~num_states:4
+
+let probe t = forwarding t (Session_core.monitor t.core)
+let walk_all t = forwarding t (Session_core.fresh_monitor t.core)
 
 let announced t color v =
   Hashtbl.fold

@@ -102,11 +102,16 @@ val in_use : t -> Topology.vertex -> Color.t option
 (** The process whose route the AS currently prefers for its own traffic
     ([None] when neither process has a route). *)
 
+val probe : t -> Fwd_walk.status array
+(** Colour-aware forwarding status of every AS, from the network's
+    incremental monitor ({!Fwd_monitor}): packets start in the source's
+    {!in_use} colour, follow same-colour routes, and are re-coloured at
+    most once when the current colour's route is missing, broken or
+    unstable. *)
+
 val walk_all : t -> Fwd_walk.status array
-(** Colour-aware forwarding status of every AS: packets start in the
-    source's {!in_use} colour, follow same-colour routes, and are
-    re-coloured at most once when the current colour's route is missing,
-    broken or unstable. *)
+(** {!probe}'s statuses from a full walk on a fresh monitor (the
+    reference). *)
 
 val announced : t -> Color.t -> Topology.vertex -> (Topology.vertex * bool) list
 (** The neighbours a process currently advertises a route to, with the

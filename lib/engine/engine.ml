@@ -33,6 +33,7 @@ module type S = sig
   val name : string
   val create : Sim.t -> Topology.t -> dest:Topology.vertex -> config -> t
   val probe : t -> Fwd_walk.status array
+  val walk_all : t -> Fwd_walk.status array
 end
 
 type instance = Instance : (module S with type t = 'a) * 'a -> instance
@@ -49,6 +50,7 @@ let recover_node (Instance ((module E), t)) v = E.recover_node t v
 let deny_export (Instance ((module E), t)) u v = E.deny_export t u v
 let allow_export (Instance ((module E), t)) u v = E.allow_export t u v
 let probe (Instance ((module E), t)) = E.probe t
+let walk_all (Instance ((module E), t)) = E.walk_all t
 let message_count (Instance ((module E), t)) = E.message_count t
 let last_change (Instance ((module E), t)) = E.last_change t
 let counters (Instance ((module E), t)) = E.counters t

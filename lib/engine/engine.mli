@@ -68,7 +68,15 @@ module type S = sig
       {!start}. *)
 
   val probe : t -> Fwd_walk.status array
-  (** Forwarding-plane status of every AS right now. *)
+  (** Forwarding-plane status of every AS right now, from the engine's
+      incremental {!Fwd_monitor}. Contract: the same (physical) array as
+      the previous probe means no AS's status changed, and a returned
+      array is never mutated afterwards — callers may keep it. *)
+
+  val walk_all : t -> Fwd_walk.status array
+  (** The reference for {!probe}: the same statuses from a full walk on a
+      fresh monitor, leaving the engine's own monitor untouched. Always a
+      fresh array; used to cross-check the incremental probe. *)
 end
 
 type instance = Instance : (module S with type t = 'a) * 'a -> instance
@@ -89,6 +97,7 @@ val recover_node : instance -> Topology.vertex -> unit
 val deny_export : instance -> Topology.vertex -> Topology.vertex -> unit
 val allow_export : instance -> Topology.vertex -> Topology.vertex -> unit
 val probe : instance -> Fwd_walk.status array
+val walk_all : instance -> Fwd_walk.status array
 val message_count : instance -> int
 val last_change : instance -> float
 val counters : instance -> Counters.t

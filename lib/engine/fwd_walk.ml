@@ -12,33 +12,6 @@ let pp_status ppf s =
     | Looped -> "looped"
     | Blackholed -> "blackholed")
 
-type cell = Unknown | In_progress | Done of status
-
-let walk_all ~n ~dest ~start ~step ~state_id ~num_states =
-  let memo = Array.make (n * num_states) Unknown in
-  let rec go v s =
-    if v = dest then Delivered
-    else begin
-      let sid = state_id s in
-      assert (sid >= 0 && sid < num_states);
-      let idx = (v * num_states) + sid in
-      match memo.(idx) with
-      | Done st -> st
-      | In_progress -> Looped
-      | Unknown ->
-        memo.(idx) <- In_progress;
-        let st =
-          match step v s with
-          | `Drop -> Blackholed
-          | `Deliver -> Delivered
-          | `Forward (u, s') -> go u s'
-        in
-        memo.(idx) <- Done st;
-        st
-    end
-  in
-  Array.init n (fun v -> go v (start v))
-
 let walk_one ~dest ~start ~step ~src ~max_hops =
   let rec go v s hops =
     if v = dest then Delivered

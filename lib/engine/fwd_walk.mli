@@ -1,14 +1,10 @@
-(** Generic memoized forwarding-plane walker.
+(** Forwarding outcomes, and a single-packet tracer.
 
     Given each AS's current forwarding behaviour — a step function mapping
-    (vertex, packet state) to the next hop — compute, for {e every} source
-    AS at once, whether a packet would reach the destination, loop, or be
-    dropped. Packet state captures protocol-specific headers (the packet's
-    colour and whether it was already re-coloured for STAMP, the deflection
-    bit for R-BGP); plain BGP uses a single state.
-
-    Cost is O(vertices × states) per call thanks to memoization, which is
-    what makes the checkpointed transient-problem monitor affordable. *)
+    (vertex, packet state) to the next hop — a packet reaches the
+    destination, loops, or is dropped. {!Fwd_monitor} computes this for
+    every source AS at once, incrementally between probes; {!walk_one}
+    follows one packet. *)
 
 type status =
   | Delivered  (** the packet reaches the destination *)
@@ -17,25 +13,6 @@ type status =
 
 val equal_status : status -> status -> bool
 val pp_status : Format.formatter -> status -> unit
-
-val walk_all :
-  n:int ->
-  dest:Topology.vertex ->
-  start:(Topology.vertex -> 'state) ->
-  step:
-    (Topology.vertex ->
-    'state ->
-    [ `Forward of Topology.vertex * 'state | `Drop | `Deliver ]) ->
-  state_id:('state -> int) ->
-  num_states:int ->
-  status array
-(** [walk_all ~n ~dest ~start ~step ~state_id ~num_states] walks from every
-    vertex. [state_id] must injectively map states to
-    [[0, num_states - 1]]. The destination is [Delivered] for every state
-    by definition. A step may also resolve the walk directly: [`Deliver]
-    asserts the packet reaches the destination from here (used for pinned
-    source-routed failover paths, whose intermediate hops don't consult
-    their own tables). *)
 
 val walk_one :
   dest:Topology.vertex ->

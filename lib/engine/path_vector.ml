@@ -275,7 +275,7 @@ module Make (P : PROTOCOL) = struct
           Some { Static_route.as_path = b.as_path; cls = b.cls })
       t.routers
 
-  let walk t ~fallback =
+  let walk t ~fallback m =
     let links = Session_core.links t.core in
     let step v () =
       if not (Link_state.node_up links v) then `Drop
@@ -288,21 +288,20 @@ module Make (P : PROTOCOL) = struct
         end
         | None -> fallback v
     in
-    Fwd_walk.walk_all
-      ~n:(Topology.num_vertices t.topo)
-      ~dest:t.dest
+    Fwd_monitor.probe m ~dest:t.dest
       ~start:(fun _ -> ())
       ~step
       ~state_id:(fun () -> 0)
       ~num_states:1
 
   let drop _ = `Drop
-  let walk_all t = walk t ~fallback:drop
+  let probe t = walk t ~fallback:drop (Session_core.monitor t.core)
+  let walk_all t = walk t ~fallback:drop (Session_core.fresh_monitor t.core)
   let message_count t = Session_core.message_count t.core
   let last_change t = Session_core.last_change t.core
   let counters t = Session_core.counters t.core
 
-  let engine ~name:engine_name ~probe:walk params : (module Engine.S) =
+  let engine ~name:engine_name ~forwarding params : (module Engine.S) =
     (module struct
       type nonrec t = t
 
@@ -315,7 +314,8 @@ module Make (P : PROTOCOL) = struct
       let recover_node = recover_node
       let deny_export = deny_export
       let allow_export = allow_export
-      let probe = walk
+      let probe t = forwarding t (Session_core.monitor t.core)
+      let walk_all t = forwarding t (Session_core.fresh_monitor t.core)
       let message_count = message_count
       let last_change = last_change
       let counters = counters

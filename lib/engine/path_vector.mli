@@ -163,17 +163,33 @@ module Make (P : PROTOCOL) : sig
   val to_table : t -> Static_route.table
   (** All current best routes in the oracle's table format. *)
 
-  val walk : t -> fallback:(Topology.vertex -> step) -> Fwd_walk.status array
-  (** Single-state forwarding walk: each AS forwards along its best route
-      when its next hop is up, and otherwise takes [fallback]. *)
+  val walk :
+    t ->
+    fallback:(Topology.vertex -> step) ->
+    Fwd_monitor.t ->
+    Fwd_walk.status array
+  (** Single-state forwarding on a monitor: each AS forwards along its
+      best route when its next hop is up, and otherwise takes [fallback].
+      A [fallback] may read only the stepping AS's state and link state
+      (see {!Fwd_monitor}). *)
+
+  val drop : Topology.vertex -> step
+  (** Plain BGP's [fallback]: drop the packet. *)
+
+  val probe : t -> Fwd_walk.status array
+  (** {!walk} where a missing or broken best route drops the packet, on
+      the engine's own monitor. *)
 
   val walk_all : t -> Fwd_walk.status array
-  (** {!walk} where a missing or broken best route drops the packet. *)
+  (** As {!probe}, on a fresh monitor ({!Session_core.fresh_monitor}): the
+      reference full walk. *)
 
   val engine :
     name:string ->
-    probe:(t -> Fwd_walk.status array) ->
+    forwarding:(t -> Fwd_monitor.t -> Fwd_walk.status array) ->
     P.params ->
     (module Engine.S)
-  (** The protocol packed as an engine under [name]. *)
+  (** The protocol packed as an engine under [name]: [forwarding] on the
+      engine's own monitor is its [probe], on a fresh one its
+      [walk_all]. *)
 end

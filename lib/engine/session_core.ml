@@ -8,6 +8,7 @@ type 'msg t = {
   trace : Trace.sink;
   chans : (Topology.vertex * Topology.vertex, 'msg Channel.t) Hashtbl.t;
   mrais : (Topology.vertex * Topology.vertex * int, Mrai.t) Hashtbl.t;
+  monitor : Fwd_monitor.t;
   mutable last_change : float;
   mutable handler : src:Topology.vertex -> dst:Topology.vertex -> 'msg -> unit;
 }
@@ -44,6 +45,7 @@ let create ?(procs = 1) ~who
       trace;
       chans = Hashtbl.create 64;
       mrais = Hashtbl.create 64;
+      monitor = Fwd_monitor.create (Topology.num_vertices topo);
       last_change = 0.;
       handler =
         (fun ~src:_ ~dst:_ _ ->
@@ -91,9 +93,13 @@ let last_change core = core.last_change
 let message_count core = Counters.messages core.counters
 let trace_enabled core = Trace.enabled core.trace
 let emit_node core v kind = trace_node core v kind
+let monitor core = core.monitor
+let fresh_monitor core = Fwd_monitor.create (Topology.num_vertices core.topo)
+let touch core v = Fwd_monitor.touch core.monitor v
 
 let note_decision core ~node ~old_next ~new_next ~cause =
   core.last_change <- Sim.now core.sim;
+  Fwd_monitor.touch core.monitor node;
   if Trace.enabled core.trace then
     Trace.emit core.trace ~vtime:(Sim.now core.sim) ~engine:core.who
       ~loc:(Trace.Node (Topology.asn core.topo node))
@@ -168,6 +174,7 @@ let fail_link core u v ~react =
   (* the data plane breaks immediately; the control plane reacts once the
      session failure is detected (hold timers, BFD, ...) *)
   Link_state.fail_link core.links u v;
+  Fwd_monitor.touch_all core.monitor;
   trace_link core u v Trace.Session_reset;
   if core.detect_delay = 0. then react ()
   else Sim.schedule core.sim ~delay:core.detect_delay (fun _ -> react ())
@@ -175,13 +182,16 @@ let fail_link core u v ~react =
 let recover_link core u v ~react =
   check_adjacent core ~op:"recover_link" u v;
   Link_state.recover_link core.links u v;
+  Fwd_monitor.touch_all core.monitor;
   trace_link core u v Trace.Session_up;
   react ()
 
 let fail_node core v =
   Link_state.fail_node core.links v;
+  Fwd_monitor.touch_all core.monitor;
   trace_node core v Trace.Session_reset
 
 let recover_node core v =
   Link_state.recover_node core.links v;
+  Fwd_monitor.touch_all core.monitor;
   trace_node core v Trace.Session_up

@@ -14,7 +14,14 @@
     historical order (channels and MRAI timers per directed link, in
     vertices × neighbors iteration order; one draw per MRAI timer), and
     {!send} draws one float per message — so engines ported onto the core
-    reproduce their previous runs bit for bit. *)
+    reproduce their previous runs bit for bit.
+
+    The core also owns the engine's forwarding-plane monitor
+    ({!Fwd_monitor}) and feeds it: {!note_decision} marks the deciding AS
+    dirty, every link and node failure or recovery marks the whole plane
+    dirty (every forwarding step reads link state, and R-BGP's pinned
+    failover paths read links far from the stepping AS), and {!touch}
+    covers an AS's other forwarding inputs. *)
 
 type 'msg t
 (** A session core carrying protocol messages of type ['msg]. *)
@@ -96,6 +103,8 @@ val recover_link :
 
 val fail_node : 'msg t -> Topology.vertex -> unit
 val recover_node : 'msg t -> Topology.vertex -> unit
+(** Mark the node down (up). Like {!fail_link} and {!recover_link}, these
+    mark the monitor's whole plane dirty. *)
 
 val check_adjacent :
   'msg t -> op:string -> Topology.vertex -> Topology.vertex -> unit
@@ -120,6 +129,21 @@ val last_change : 'msg t -> float
 (** Time of the last best-route change ({!note_decision}): the
     convergence instant once the queue drains. *)
 
+(** {1 Forwarding plane} *)
+
+val monitor : 'msg t -> Fwd_monitor.t
+(** The engine's forwarding-plane monitor: its probe goes through here. *)
+
+val fresh_monitor : 'msg t -> Fwd_monitor.t
+(** A new monitor over the same ASes, whole plane dirty: probing it is the
+    reference full walk, and leaves {!monitor} untouched. *)
+
+val touch : 'msg t -> Topology.vertex -> unit
+(** AS [v]'s forwarding inputs other than its best route changed (R-BGP's
+    failover RIB or withdrawn route, the hybrid's blue table): the next
+    probe re-walks what depends on [v]. Best-route changes are covered by
+    {!note_decision}. *)
+
 (** {1 Tracing} *)
 
 val trace_enabled : 'msg t -> bool
@@ -131,7 +155,8 @@ val note_decision :
   new_next:Topology.vertex option ->
   cause:string ->
   unit
-(** Record a best-route change for {!last_change}, plus a
+(** Record a best-route change for {!last_change} and the monitor's dirty
+    set, plus a
     {!Trace.Decision} event at the router (next hops are translated to ASN
     space; [None] = no route or the origin's own route). The timestamp side
     effect is unconditional, so engines can call this at every best-route

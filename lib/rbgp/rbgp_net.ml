@@ -110,11 +110,13 @@ let purge tbl stale =
   Hashtbl.fold (fun k x acc -> if stale x then k :: acc else acc) tbl []
   |> List.iter (Hashtbl.remove tbl)
 
-let learn_cause r cause =
+let learn_cause (t : (ext, _, _) net) r cause =
   let x = r.ext in
   if x.rci_enabled && not (List.exists (cause_equal cause) x.known_causes)
   then begin
     x.known_causes <- cause :: x.known_causes;
+    (* the purge edits the failover RIB and the withdrawn route *)
+    Session_core.touch t.core r.v;
     purge r.adj_rib_in (fun (rt : Route.t) -> path_hits_cause rt.as_path cause);
     purge x.failover_rib (fun path -> path_hits_cause path cause);
     match x.withdrawn with
@@ -157,21 +159,26 @@ include Path_vector.Make (struct
   let announce r path = Announce { path; tag = r.ext.last_cause }
   let withdraw r () = Withdraw { tag = r.ext.last_cause }
 
-  let received _ r ~from msg =
+  let received t r ~from msg =
     let rci =
       match msg with
       | Announce { tag; _ } | Withdraw { tag } | Extra { rci = tag; _ } -> tag
     in
-    (match rci with Some c -> learn_cause r c | None -> ());
+    (match rci with Some c -> learn_cause t r c | None -> ());
     match msg with
-    | Extra { path = None; _ } -> Hashtbl.remove r.ext.failover_rib from
-    | Extra { path = Some p; _ } ->
-      if stale r p then Hashtbl.remove r.ext.failover_rib from
-      else Hashtbl.replace r.ext.failover_rib from p
+    | Extra { path; _ } -> begin
+      Session_core.touch t.core r.v;
+      match path with
+      | Some p when not (stale r p) ->
+        Hashtbl.replace r.ext.failover_rib from p
+      | Some _ | None -> Hashtbl.remove r.ext.failover_rib from
+    end
     | Announce _ | Withdraw _ -> ()
 
   let reject = stale
 
+  (* the withdrawn route changes only with the best route, which
+     [Session_core.note_decision] already marked for the monitor *)
   let decided _ r ~old =
     if old != r.best then
       match (old, r.best) with
@@ -192,8 +199,12 @@ include Path_vector.Make (struct
     r.ext.failover_out <- None
 
   (* adjacent ASes know the root cause by local detection, with or without
-     the RCI protocol extension; [learn_cause] only purges under RCI *)
-  let lost _ r cause = learn_cause r cause
+     the RCI protocol extension; [learn_cause] only purges under RCI. The
+     touch covers the failover paths [drop_peer] just removed: with a
+     positive detect delay this reset runs long after the link event. *)
+  let lost t r cause =
+    learn_cause t r cause;
+    Session_core.touch t.core r.v
 
   let restored (t : (ext, _, _) net) cause =
     (match cause with
@@ -226,9 +237,9 @@ let pinned_alive t path =
   in
   scan path
 
-let walk_all t =
+let forwarding t m =
   let links = Session_core.links t.core in
-  walk t ~fallback:(fun v ->
+  walk t m ~fallback:(fun v ->
       let r = t.routers.(v) in
       (* keep forwarding along the withdrawn route until an alternative or
          a root cause invalidates it *)
@@ -249,8 +260,9 @@ let walk_all t =
         | None -> `Drop
       end)
 
-let no_rci = engine ~name:"R-BGP without RCI" ~probe:walk_all false
-let rci = engine ~name:"R-BGP" ~probe:walk_all true
+let walk_all t = forwarding t (Session_core.fresh_monitor t.core)
+let no_rci = engine ~name:"R-BGP without RCI" ~forwarding false
+let rci = engine ~name:"R-BGP" ~forwarding true
 
 let () =
   Engine.Registry.register no_rci;

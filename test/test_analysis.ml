@@ -73,6 +73,60 @@ let test_traffic_probes_are_checkpoints () =
     s.Traffic.loss_events;
   check_verdict "verdict" Sim.Converged s.Traffic.verdict
 
+(* The probe contract: the same physical array means no status changed,
+   and returned arrays are never mutated. A probe that hands back its
+   previous array on unchanged slices must be observed exactly like one
+   that copies every time: same outcome, verdict and status stream. *)
+let test_transient_probe_contract () =
+  let d = Fwd_walk.Delivered and b = Fwd_walk.Blackholed
+  and l = Fwd_walk.Looped in
+  let script =
+    [|
+      [| d; d; d |];
+      [| d; b; d |];
+      [| d; b; d |];
+      [| l; b; d |];
+      [| l; b; d |];
+      [| d; d; b |];
+      [| d; d; b |];
+      [| d; d; d |];
+    |]
+  in
+  let run ~share =
+    let sim = Sim.create () in
+    for i = 1 to 9 do
+      Sim.schedule sim ~delay:(0.03 *. float_of_int i) (fun _ -> ())
+    done;
+    let calls = ref 0 and last = ref [||] in
+    let probe () =
+      let want = script.(min !calls (Array.length script - 1)) in
+      incr calls;
+      if share && Array.length !last > 0
+         && Array.for_all2 Fwd_walk.equal_status want !last
+      then !last
+      else begin
+        last := Array.copy want;
+        !last
+      end
+    in
+    let stream = ref [] in
+    let on_status ~changed v s =
+      stream := (Sim.now sim, changed, v, Format.asprintf "%a" Fwd_walk.pp_status s)
+                :: !stream
+    in
+    let o, verdict = Transient.run_guarded sim ~on_status ~probe () in
+    (o, Sim.verdict_name verdict, List.rev !stream, !calls)
+  in
+  let o1, v1, s1, calls = run ~share:true in
+  let o2, v2, s2, _ = run ~share:false in
+  Alcotest.(check bool) "the script is played out" true
+    (calls >= Array.length script);
+  Alcotest.(check bool) "same outcome" true (o1 = o2);
+  Alcotest.(check string) "same verdict" v2 v1;
+  Alcotest.(check int) "same stream length" (List.length s2) (List.length s1);
+  Alcotest.(check bool) "same on_status stream" true (s1 = s2);
+  Alcotest.(check int) "every AS transient" 3 (Transient.transient_count o1)
+
 (* --- Scenario generators ------------------------------------------------ *)
 
 let topo200 = lazy (Topo_gen.generate (Topo_gen.default_params ~n:200 ()))
@@ -504,6 +558,8 @@ let () =
           Alcotest.test_case "counting" `Quick test_transient_counting;
           Alcotest.test_case "none" `Quick test_transient_none;
           Alcotest.test_case "event budget" `Quick test_transient_event_budget;
+          Alcotest.test_case "probe contract: shared = copied arrays" `Quick
+            test_transient_probe_contract;
           Alcotest.test_case "traffic probes = checkpoints" `Quick
             test_traffic_probes_are_checkpoints;
         ] );

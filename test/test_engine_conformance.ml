@@ -156,6 +156,7 @@ let stub : (module Engine.S) =
     let deny_export () _ _ = Engine.unsupported ~engine:stub_name "export policy"
     let allow_export () _ _ = Engine.unsupported ~engine:stub_name "export policy"
     let probe () = [||]
+    let walk_all () = [||]
     let message_count () = 0
     let last_change () = 0.
     let counters () = Counters.make ()
@@ -288,6 +289,147 @@ let prop_undeployed_hybrid_is_bgp =
           Scenario.flap ~period:20. ~count:2;
         ])
 
+(* --- cross-check: the incremental probe against the full walk ---------- *)
+
+let same_statuses a b =
+  Array.length a = Array.length b && Array.for_all2 Fwd_walk.equal_status a b
+
+(* [engine] with every probe compared to the engine's reference full walk,
+   which leaves the engine's own monitor untouched *)
+let cross_checked (module E : Engine.S) ~probes ~mismatches : (module Engine.S)
+    =
+  (module struct
+    include E
+
+    let probe t =
+      let statuses = E.probe t in
+      incr probes;
+      if not (same_statuses statuses (E.walk_all t)) then incr mismatches;
+      statuses
+  end)
+
+(* [engine] whose probe always walks the whole plane *)
+let full_walk_only (module E : Engine.S) : (module Engine.S) =
+  (module struct
+    include E
+
+    let probe = E.walk_all
+  end)
+
+let partial_hybrid =
+  Hybrid_net.engine ~name:"hybrid, every other AS"
+    ~deployed:(fun v -> v mod 2 = 0)
+    ()
+
+(* Every scenario kind the monitor's dirty marks must cover: best-route
+   changes, link and node failures and recoveries, export policy, a churn
+   stream, and resets that fire after a detection delay. The monitor's
+   first probe walks the whole plane, so events are also deferred past it
+   ([later]) to reach the incremental path. *)
+let cross_check_scenarios t =
+  let st = Random.State.make [| 5 |] in
+  let single = Scenario.single_link st t in
+  let node = Scenario.node_failure st t in
+  let policy = Scenario.policy_withdraw st t in
+  let undo (spec : Scenario.spec) =
+    List.map
+      (function
+        | Scenario.Fail_link (u, v) -> Scenario.At (1., Scenario.Recover_link (u, v))
+        | Scenario.Fail_node v -> Scenario.At (30., Scenario.Recover_node v)
+        | Scenario.Deny_export (u, v) ->
+          Scenario.At (30., Scenario.Allow_export (u, v))
+        | e -> e)
+      spec.events
+  in
+  let and_undo (spec : Scenario.spec) =
+    { spec with events = spec.events @ undo spec }
+  in
+  let later (spec : Scenario.spec) =
+    { spec with events = List.map (fun e -> Scenario.At (1., e)) spec.events }
+  in
+  let slow (spec : Scenario.spec) = { spec with detect_delay = Some 2. } in
+  (* the far end of the failed link loses every alternate while its dead
+     best route still stands: the hybrid's blue table moves without a
+     decision *)
+  let cut_alternates =
+    match single.events with
+    | [ Scenario.Fail_link (_, p) ] ->
+      {
+        single with
+        events =
+          single.events
+          @ List.filter_map
+              (fun (q, _) ->
+                if q = single.dest then None
+                else Some (Scenario.At (1., Scenario.Deny_export (q, p))))
+              (Array.to_list (Topology.neighbors t p));
+      }
+    | _ -> Alcotest.fail "single_link: one link failure expected"
+  in
+  let flap = Scenario.flap ~period:40. ~count:2 st t in
+  let churn = Scenario.churn ~rate:0.05 ~duration:300. st t in
+  [
+    ("single link failure", single);
+    ("link fail then recover", flap);
+    ("node fail then recover", later (and_undo node));
+    ("deny then allow export", later (and_undo policy));
+    ("churn", churn);
+    ("single link failure, slow detection", slow single);
+    ("link fail then recover, slow detection", slow flap);
+    ("link back before detection", slow (later (and_undo single)));
+    ("churn, slow detection", slow churn);
+    ("alternates cut before detection", slow cut_alternates);
+  ]
+
+let test_probe_matches_full_walk () =
+  let t = Topo_gen.generate (Topo_gen.default_params ~seed:2 ~n:120 ()) in
+  let scenarios = cross_check_scenarios t in
+  List.iter
+    (fun (engine_name, engine) ->
+      List.iter
+        (fun (label, spec) ->
+          let label = engine_name ^ "/" ^ label in
+          let probes = ref 0 and mismatches = ref 0 in
+          let checked =
+            Runner.run_engine ~seed:3
+              (cross_checked engine ~probes ~mismatches)
+              t spec
+          in
+          Alcotest.(check bool) (label ^ ": probed") true (!probes > 1);
+          Alcotest.(check int)
+            (Printf.sprintf "%s: checkpoints (of %d) where probe <> full walk"
+               label !probes)
+            0 !mismatches;
+          let full = Runner.run_engine ~seed:3 (full_walk_only engine) t spec in
+          let plain = Runner.run_engine ~seed:3 engine t spec in
+          Alcotest.(check bool) (label ^ ": result = full-walk result") true
+            (plain = full);
+          Alcotest.(check bool) (label ^ ": cross-check only observes") true
+            (plain = checked))
+        scenarios)
+    (Engine.Registry.all () @ [ ("hybrid, every other AS", partial_hybrid) ])
+
+(* No engine's probe bypasses its monitor: with nothing changed since the
+   last probe, the monitor hands back the same array. A probe that walked
+   afresh would return a new one. *)
+let test_probe_reuses_unchanged () =
+  let t = Test_support.diamond_plus () in
+  let dest = vtx t 3 in
+  List.iter
+    (fun (engine_name, engine) ->
+      let sim = Sim.create ~seed:7 () in
+      let inst = Engine.create engine sim t ~dest Engine.default_config in
+      Engine.start inst;
+      check_quiesced engine_name sim;
+      let first = Engine.probe inst in
+      Alcotest.(check bool) (engine_name ^ ": unchanged plane, same array")
+        true
+        (Engine.probe inst == first);
+      Alcotest.(check bool) (engine_name ^ ": full walk is a fresh array")
+        true
+        (Engine.walk_all inst != first))
+    (Engine.Registry.all ())
+
 let () =
   Alcotest.run "engine_conformance"
     [
@@ -297,6 +439,13 @@ let () =
             test_lifecycle_matrix;
           Alcotest.test_case "detect_delay accepted uniformly" `Quick
             test_detect_delay_uniform;
+        ] );
+      ( "monitor",
+        [
+          Alcotest.test_case "probe = full walk at every checkpoint" `Quick
+            test_probe_matches_full_walk;
+          Alcotest.test_case "probe goes through the monitor" `Quick
+            test_probe_reuses_unchanged;
         ] );
       ( "registry",
         [ Alcotest.test_case "contents and idempotence" `Quick

@@ -105,6 +105,20 @@ let rules =
       allowed = contains_fragment [ "analysis/transient.ml" ];
       why = "wrap the probe of Transient.run_guarded instead";
     };
+    (* One forwarding walk: the memoized walk lives in Fwd_monitor, and
+       monitors are made only by the session core — the engine's own
+       (what [probe] reads) and fresh ones (the reference full walk,
+       [walk_all]). An engine whose probe walked the whole plane itself
+       would bypass the dirty marks; the conformance suite checks the
+       same from the outside (an unchanged plane returns the same array). *)
+    {
+      name = "one forwarding walk: the monitor";
+      patterns = [ "Fwd_walk.walk_all"; "Fwd_monitor.create"; "probe = walk_all" ];
+      dirs = [ "lib" ];
+      allowed =
+        contains_fragment [ "engine/fwd_monitor.ml"; "engine/session_core.ml" ];
+      why = "probe through Session_core.monitor; walk fresh via Session_core.fresh_monitor";
+    };
     (* Libraries report through Logs / Fmt / returned values; writing to
        stdout from lib/ corrupts machine-readable output (stamp_check
        --json, the bench JSON) and bypasses log levels. Executables own

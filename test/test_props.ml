@@ -162,6 +162,123 @@ let prop_decompose_partitions_path =
             up @ down = path)
         (Topology.vertices t))
 
+(* --- Fwd_monitor: incremental probe = full walk ------------------------ *)
+
+(* A random forwarding plane over [n] ASes and [k] packet states, held in
+   mutable tables the step and start functions read: forwards (to the
+   destination, into loops or onto other chains), drops and pinned
+   deliveries. *)
+type plane = {
+  n : int;
+  k : int;
+  dest : int;
+  steps : [ `Forward of int * int | `Drop | `Deliver ] array array;
+  starts : int array;
+}
+
+let random_step st ~n ~k ~dest =
+  match Random.State.int st 10 with
+  | 0 -> `Drop
+  | 1 -> `Deliver
+  | 2 | 3 -> `Forward (dest, Random.State.int st k)
+  | _ -> `Forward (Random.State.int st n, Random.State.int st k)
+
+let random_plane st ~n ~k =
+  let dest = Random.State.int st n in
+  {
+    n;
+    k;
+    dest;
+    steps = Array.init n (fun _ -> Array.init k (fun _ -> random_step st ~n ~k ~dest));
+    starts = Array.init n (fun _ -> Random.State.int st k);
+  }
+
+let probe_plane m p =
+  Fwd_monitor.probe m ~dest:p.dest
+    ~start:(fun v -> p.starts.(v))
+    ~step:(fun v s -> p.steps.(v).(s))
+    ~state_id:Fun.id ~num_states:p.k
+
+let full_walk p = probe_plane (Fwd_monitor.create p.n) p
+
+(* One AS's forwarding changes: a step (possibly closing or opening a
+   loop) or its start state. *)
+let mutate st p =
+  let v = Random.State.int st p.n in
+  if Random.State.int st 4 = 0 then p.starts.(v) <- Random.State.int st p.k
+  else
+    p.steps.(v).(Random.State.int st p.k) <-
+      random_step st ~n:p.n ~k:p.k ~dest:p.dest;
+  v
+
+let prop_monitor_matches_full_walk =
+  Test_support.qtest ~count:300 "monitor: incremental probe = full walk"
+    QCheck2.Gen.(tup3 (int_range 1 60) (int_range 1 4) (int_range 0 1_000_000))
+    QCheck2.Print.(tup3 int int int)
+    (fun (n, k, seed) ->
+      let st = Random.State.make [| seed |] in
+      let p = random_plane st ~n ~k in
+      let m = Fwd_monitor.create n in
+      let returned = ref [] in
+      let ok = ref true in
+      let check statuses =
+        if not (Array.for_all2 Fwd_walk.equal_status statuses (full_walk p))
+        then ok := false;
+        returned := (statuses, Array.copy statuses) :: !returned
+      in
+      let prev = ref (probe_plane m p) in
+      check !prev;
+      for _ = 1 to 40 do
+        (* a batch of touched mutations, now and then a link-style event *)
+        for _ = 1 to Random.State.int st 4 do
+          Fwd_monitor.touch m (mutate st p)
+        done;
+        if Random.State.int st 10 = 0 then begin
+          ignore (mutate st p);
+          Fwd_monitor.touch_all m
+        end;
+        let statuses = probe_plane m p in
+        check statuses;
+        (* the same array exactly when no status changed *)
+        let same = Array.for_all2 Fwd_walk.equal_status statuses !prev in
+        if same <> (statuses == !prev) then ok := false;
+        prev := statuses
+      done;
+      (* no returned array was mutated afterwards *)
+      !ok
+      && List.for_all
+           (fun (a, copy) -> Array.for_all2 Fwd_walk.equal_status a copy)
+           !returned)
+
+(* The comparison can fail: a change the monitor is not told about is
+   invisible to it, while the full walk sees it. *)
+let test_monitor_untouched_change_is_missed () =
+  let p =
+    {
+      n = 3;
+      k = 1;
+      dest = 2;
+      steps = [| [| `Forward (1, 0) |]; [| `Forward (2, 0) |]; [| `Drop |] |];
+      starts = [| 0; 0; 0 |];
+    }
+  in
+  let m = Fwd_monitor.create p.n in
+  let before = probe_plane m p in
+  p.steps.(1).(0) <- `Drop;
+  let stale = probe_plane m p in
+  Alcotest.(check bool) "untouched: same array" true (stale == before);
+  Alcotest.(check bool) "full walk sees the drop" false
+    (Array.for_all2 Fwd_walk.equal_status stale (full_walk p));
+  Fwd_monitor.touch m 1;
+  let fixed = probe_plane m p in
+  Alcotest.(check (list string)) "touched: re-walked"
+    [ "blackholed"; "blackholed"; "delivered" ]
+    (Array.to_list (Array.map (Format.asprintf "%a" Fwd_walk.pp_status) fixed))
+  ;
+  Alcotest.check_raises "packet states are fixed at the first probe"
+    (Invalid_argument "Fwd_monitor.probe: number of packet states changed")
+    (fun () -> ignore (probe_plane m { p with k = 2 }))
+
 let () =
   Alcotest.run "props"
     [
@@ -190,4 +307,10 @@ let () =
         ] );
       ("heap", [ prop_heap_is_stable_sort ]);
       ("valley", [ prop_decompose_partitions_path ]);
+      ( "monitor",
+        [
+          prop_monitor_matches_full_walk;
+          Alcotest.test_case "untouched change is missed" `Quick
+            test_monitor_untouched_change_is_missed;
+        ] );
     ]

@@ -6,6 +6,7 @@
      dune exec bench/main.exe -- fig2         # one figure
      dune exec bench/main.exe -- all --n 4000 --instances 100   # paper scale
      dune exec bench/main.exe -- micro        # Bechamel micro-benchmarks
+     dune exec bench/main.exe -- scale        # wall time and heap, n = 1k..27k
 
    Absolute counts depend on the topology size (the paper used a ~27k-AS
    RouteViews graph; the default here is 1000 ASes), so each table prints
@@ -48,7 +49,7 @@ let usage () =
   prerr_endline
     "usage: main.exe [fig1|fig2|fig3a|fig3b|node|policy|partial|overhead|delay|\n\
     \                 flap|churn|ablation|motivation|trace|smoke|staticcheck|\n\
-    \                 all|micro]\n\
+    \                 scale|all|micro]\n\
     \                [--n N] [--instances I] [--seed S] [--samples K] [--mrai M]\n\
     \                [--csv DIR] [--jobs N] [--json FILE] [--trace FILE]\n\
     \                [--max-events N] [--max-vtime SECONDS]";
@@ -136,7 +137,7 @@ let timed f =
    files. *)
 let json_entries : string list ref = ref []
 
-let record_target ?bars ?counters name wall =
+let record_target ?bars ?counters ?points name wall =
   (* optional fields render exactly as before when absent, so pinned
      BENCH_*.json payloads (e.g. fig2's bars) stay byte-identical *)
   let opt field = function
@@ -144,8 +145,8 @@ let record_target ?bars ?counters name wall =
     | Some j -> Printf.sprintf ", \"%s\": %s" field j
   in
   json_entries :=
-    Printf.sprintf "{\"target\": %S, \"wall_s\": %.3f%s%s}" name wall
-      (opt "bars" bars) (opt "counters" counters)
+    Printf.sprintf "{\"target\": %S, \"wall_s\": %.3f%s%s%s}" name wall
+      (opt "bars" bars) (opt "counters" counters) (opt "points" points)
     :: !json_entries
 
 let write_json cfg =
@@ -603,6 +604,57 @@ let smoke pool cfg =
     ~bars:(Report.bars_stats_to_json par)
     ~counters:("[" ^ String.concat ", " counter_rows ^ "]")
 
+(* --- scale curve ------------------------------------------------------- *)
+
+(* One fig2 instance (initial convergence plus one single provider-link
+   failure) per registered engine, at sizes up to the paper's ~27k-AS
+   graph. The topology is [Topo_gen.default_params ~seed ~n], the scenario
+   the first [Scenario.single_link] draw of [Random.State.make [|seed|]],
+   the run seed [seed]; --n and --instances do not apply. The heap figure
+   is [Gc.top_heap_words] after the point: the process's peak so far.
+   Sizes run in increasing order, so it is set by the largest engine at
+   that size or below. *)
+let scale_sizes = [ 1000; 2000; 4000; 8000; 16000; 27000 ]
+
+let scale _pool cfg =
+  section "Scale: one fig2 instance per engine";
+  Format.printf "%6s  %-36s %9s %13s %9s %9s@." "n" "engine" "wall_s"
+    "top_heap_mb" "transient" "messages";
+  let word_mb = float_of_int (Sys.word_size / 8) /. 1048576. in
+  let points, wall =
+    timed (fun () ->
+        List.concat_map
+          (fun n ->
+            let t =
+              Topo_gen.generate (Topo_gen.default_params ~seed:cfg.seed ~n ())
+            in
+            let spec =
+              Scenario.single_link (Random.State.make [| cfg.seed |]) t
+            in
+            List.map
+              (fun (name, engine) ->
+                let t0 = Unix.gettimeofday () in
+                let r =
+                  Runner.run_engine ~seed:cfg.seed ~mrai_base:cfg.mrai
+                    ~budget:(budget cfg) engine t spec
+                in
+                let wall_s = Unix.gettimeofday () -. t0 in
+                let heap = (Gc.quick_stat ()).Gc.top_heap_words in
+                let messages = r.messages_initial + r.messages_event in
+                Format.printf "%6d  %-36s %9.3f %13.1f %9d %9d@." n name wall_s
+                  (float_of_int heap *. word_mb)
+                  r.transient_count messages;
+                Printf.sprintf
+                  "{\"n\": %d, \"engine\": %S, \"wall_s\": %.3f, \
+                   \"top_heap_words\": %d, \"transient_count\": %d, \
+                   \"messages\": %d, \"verdict\": %S}"
+                  n name wall_s heap r.transient_count messages
+                  (Sim.verdict_name r.verdict))
+              (Engine.Registry.all ()))
+          scale_sizes)
+  in
+  record_target "scale" wall ~points:("[" ^ String.concat ", " points ^ "]")
+
 (* --- Bechamel micro-benchmarks ---------------------------------------- *)
 
 let micro cfg =
@@ -732,6 +784,7 @@ let () =
       | "trace" -> trace_overhead pool cfg
       | "smoke" -> smoke pool cfg
       | "staticcheck" -> staticcheck pool cfg
+      | "scale" -> scale pool cfg
       | "micro" -> micro cfg
       | "all" ->
         fig1 pool cfg;

@@ -5,7 +5,7 @@ include Path_vector.Make (struct
   type params = unit
 
   let who = "Bgp_net"
-  let init () _ = ()
+  let init () _ _ = ()
 end)
 
 let name = "BGP"

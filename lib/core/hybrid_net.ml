@@ -25,18 +25,14 @@ let recompute_backup (t : (ext, _, _) Path_vector.net)
                (fun x -> x <> t.dest && List.mem x best_down)
                (downhill (r.v :: alt.as_path)))
         in
-        Hashtbl.fold
-          (fun from (alt : Route.t) acc ->
-            if Some from = Route.learned_from best then acc
-            else
-              match acc with
-              | None -> Some alt
-              | Some cur ->
-                let sa = score alt and sc = score cur in
-                if sa < sc || (sa = sc && Decision.better alt cur) then
-                  Some alt
-                else acc)
-          r.adj_rib_in None
+        (* a strict total order (ties fall to [Decision.better]), so the
+           slot order does not matter *)
+        Decision.select_by
+          ~keep:(fun alt -> not (Route.same_neighbor alt best))
+          (fun alt cur ->
+            let sa = score alt and sc = score cur in
+            sa < sc || (sa = sc && Decision.better alt cur))
+          r.adj_rib_in
       end
     in
     let next b = Option.bind b Route.learned_from in
@@ -54,7 +50,7 @@ include Path_vector.Make (struct
   type params = Topology.vertex -> bool
 
   let who = "Hybrid_net"
-  let init deployed v = { upgraded = deployed v; backup = None }
+  let init deployed _ v = { upgraded = deployed v; backup = None }
   let decided t r ~old:_ = recompute_backup t r
   let reset (r : ext Path_vector.router) = r.ext.backup <- None
 end)

@@ -6,11 +6,14 @@ type body =
 
 type msg = { color : Color.t; body : body }
 
+(* Per-neighbour state is held in arrays indexed by the neighbour's slot
+   ([Topology.slot]). *)
 type process = {
-  adj_rib_in : (Topology.vertex, entry) Hashtbl.t;
+  adj_rib_in : entry option array;
   mutable best : entry option;
-  rib_out : (Topology.vertex, Topology.vertex list * bool) Hashtbl.t;
-      (** what was last announced to each neighbour: (path, lock bit) *)
+  rib_out : entry option array;
+      (** what was last announced to each neighbour: the route (announced
+          as [v :: as_path]) and the lock bit as sent *)
   mutable unstable : bool;
   mutable loss_pending : bool;
       (** our next updates are consequences of a route loss (ET=0) *)
@@ -19,11 +22,11 @@ type process = {
 type router = {
   v : Topology.vertex;
   procs : process array; (* indexed by Color.to_int *)
-  export_deny : (Topology.vertex, unit) Hashtbl.t;
+  export_deny : bool array;
 }
 
 type t = {
-  core : msg Session_core.t;
+  core : (msg, entry) Session_core.t;
   topo : Topology.t;
   dest : Topology.vertex;
   coloring : Coloring.t;
@@ -33,39 +36,47 @@ type t = {
 
 let sim t = Session_core.sim t.core
 let dest t = t.dest
-
-let rel_exn t u v =
-  match Topology.rel t.topo u v with
-  | Some r -> r
-  | None -> invalid_arg "Stamp_net: vertices not adjacent"
-
 let proc r color = r.procs.(Color.to_int color)
+
+let entry_equal a b =
+  a == b || (Bool.equal a.lock b.lock && Route.equal a.route b.route)
+
+(* what an announcement carries: the path and the lock bit *)
+let same_announcement a b =
+  a == b || (Bool.equal a.lock b.lock && Route.same_path a.route b.route)
 
 (* --- selective announcement ----------------------------------------- *)
 
-(* Whether a process's best may be exported to a neighbour of class
-   [to_rel] under valley-free rules (plus the never-announce-back rule). *)
-let standard_export (e : entry option) ~to_rel ~neighbor =
-  match e with
+(* A process's best, if it may be exported to a neighbour of class
+   [to_rel] under valley-free rules (plus the never-announce-back rule):
+   the process's own [best] cell, so nothing is allocated. *)
+let standard_export (p : process) ~to_rel ~neighbor =
+  match p.best with
   | Some { route; _ }
-    when Route.learned_from route <> Some neighbor
-         && Export.exportable route ~to_rel ->
-    Some route
+    when (not (Route.via route neighbor)) && Export.exportable route ~to_rel ->
+    p.best
   | Some _ | None -> None
+
+(* [cell] announced with the lock bit [lock]: the same cell when the bit
+   already matches. *)
+let with_lock (cell : entry option) ~lock =
+  match cell with
+  | Some e when not (Bool.equal e.lock lock) -> Some { e with lock }
+  | Some _ | None -> cell
 
 let blue_lock_held t r =
   r.v = t.dest
-  || Hashtbl.fold
-       (fun _ (e : entry) acc -> acc || e.lock)
-       (proc r Color.Blue).adj_rib_in false
+  || Array.exists
+       (function Some (e : entry) -> e.lock | None -> false)
+       (proc r Color.Blue).adj_rib_in
 
 (* The provider the locked blue route must be re-announced to: the first
-   alive provider in the AS's coloring preference order. *)
+   alive provider in the AS's coloring preference order ([-1]: none). *)
 let designated_provider t r =
   let prefs = Coloring.preference t.coloring r.v in
   let rec scan i =
-    if i >= Array.length prefs then None
-    else if Session_core.link_up t.core r.v prefs.(i) then Some prefs.(i)
+    if i >= Array.length prefs then -1
+    else if Session_core.link_up t.core r.v prefs.(i) then prefs.(i)
     else scan (i + 1)
   in
   scan 0
@@ -76,86 +87,86 @@ let alive_provider_count t r =
     0
     (Topology.providers t.topo r.v)
 
+(* The part of the provider plan that is the same for every provider: the
+   locked blue route's designated provider ([-1] when no blue lock is
+   held or no provider is alive) and whether exactly one provider is
+   alive (the relay condition). It reads the blue RIB and the provider
+   links, which no advertisement changes, so one plan serves a whole
+   [advertise_all]. *)
+type plan = { designated : Topology.vertex; single_provider : bool }
+
+let no_plan = { designated = -1; single_provider = false }
+
+let provider_plan t r =
+  if Array.length (Topology.providers t.topo r.v) = 0 then no_plan
+  else
+    {
+      designated = (if blue_lock_held t r then designated_provider t r else -1);
+      single_provider = alive_provider_count t r = 1;
+    }
+
 (* Single-homed origin chains relay both colours upward so the initial
    colouring can happen at the first multi-homed ancestor (footnote 4). *)
-let is_relay t r ~red_best ~blue_best =
-  alive_provider_count t r = 1
+let is_relay t r plan ~red_best ~blue_best =
+  plan.single_provider
   && (r.v = t.dest
      ||
      match (red_best, blue_best) with
-     | Some (r1 : Route.t), Some (r2 : Route.t) ->
-       Route.learned_from r1 = Route.learned_from r2
+     | Some (r1 : entry), Some (r2 : entry) ->
+       Route.same_neighbor r1.route r2.route
      | _ -> false)
 
-(* What should neighbour [n] currently hear from [r] on process [color]?
-   Returns the (path, lock) announcement, or None for nothing/withdraw. *)
-let desired t r n color =
-  let to_rel = rel_exn t r.v n in
-  let e = (proc r color).best in
+(* What should neighbour [n] (of class [to_rel]) currently hear from [r]
+   on process [color]? The announced route with its lock bit, or None for
+   nothing/withdraw. *)
+let desired t r plan n to_rel color =
   match (to_rel : Relationship.t) with
-  | Customer | Peer | Sibling -> begin
-    match standard_export e ~to_rel ~neighbor:n with
-    | Some route -> Some (r.v :: route.Route.as_path, false)
-    | None -> None
-  end
+  | Customer | Peer | Sibling ->
+    with_lock (standard_export (proc r color) ~to_rel ~neighbor:n) ~lock:false
   | Provider -> begin
-    let red_best =
-      standard_export (proc r Color.Red).best ~to_rel ~neighbor:n
-    in
-    let blue_best =
-      standard_export (proc r Color.Blue).best ~to_rel ~neighbor:n
-    in
-    let lock_held = blue_lock_held t r in
-    let designated =
-      if lock_held && blue_best <> None then designated_provider t r else None
-    in
-    let relay = is_relay t r ~red_best ~blue_best in
-    let plan : (Topology.vertex list * bool) option =
-      match color with
-      | Blue ->
-        (* Only the locked blue route propagates to providers (to exactly
-           one of them). Unlocked blue is "not required to propagate"
-           (Section 4.1) and deliberately is not: announcing it to red-less
-           providers would couple the blue process to red churn — whenever
-           a red route (re)appears, its precedence would force a blue
-           withdrawal, punching transient holes into the blue tree. Blue
-           still reaches every AS through the locked chain to a tier-1 and
-           the unrestricted announcements to customers and peers. *)
-        if Some n = designated then
-          Option.map (fun (b : Route.t) -> (r.v :: b.as_path, true)) blue_best
-        else if t.spread_unlocked_blue && red_best = None && not relay then
-          (* ablation mode: fill red-less providers with unlocked blue *)
-          Option.map (fun (b : Route.t) -> (r.v :: b.as_path, false)) blue_best
-        else None
-      | Red ->
-        if relay then
-          Option.map (fun (b : Route.t) -> (r.v :: b.as_path, false)) red_best
-        else if Some n = designated then None
-          (* red yields the locked blue provider *)
-        else Option.map (fun (b : Route.t) -> (r.v :: b.as_path, false)) red_best
-    in
-    plan
+    let red_best = standard_export (proc r Color.Red) ~to_rel ~neighbor:n in
+    let blue_best = standard_export (proc r Color.Blue) ~to_rel ~neighbor:n in
+    let designated = Option.is_some blue_best && plan.designated = n in
+    let relay = is_relay t r plan ~red_best ~blue_best in
+    match color with
+    | Blue ->
+      (* Only the locked blue route propagates to providers (to exactly
+         one of them). Unlocked blue is "not required to propagate"
+         (Section 4.1) and deliberately is not: announcing it to red-less
+         providers would couple the blue process to red churn — whenever
+         a red route (re)appears, its precedence would force a blue
+         withdrawal, punching transient holes into the blue tree. Blue
+         still reaches every AS through the locked chain to a tier-1 and
+         the unrestricted announcements to customers and peers. *)
+      if designated then with_lock blue_best ~lock:true
+      else if t.spread_unlocked_blue && Option.is_none red_best && not relay
+      then
+        (* ablation mode: fill red-less providers with unlocked blue *)
+        with_lock blue_best ~lock:false
+      else None
+    | Red ->
+      if relay then with_lock red_best ~lock:false
+      else if designated then None (* red yields the locked blue provider *)
+      else with_lock red_best ~lock:false
   end
 
-let rec advertise_to t r n color =
+let advertise_to t r plan slot color =
+  let n, to_rel = (Topology.neighbors t.topo r.v).(slot) in
   let p = proc r color in
   let want =
-    if Hashtbl.mem r.export_deny n then None else desired t r n color
+    if r.export_deny.(slot) then None else desired t r plan n to_rel color
   in
   Session_core.advertise t.core ~proc:(Color.to_int color) ~src:r.v ~dst:n
-    ~rib_out:p.rib_out ~desired:want
-    ~announce:(fun (path, lock) ->
-      { color; body = Announce { path; lock; et_ok = not p.loss_pending } })
-    ~withdraw:(fun () ->
-      { color; body = Withdraw { et_ok = not p.loss_pending } })
-    ~retry:(fun () -> advertise_to t r n color)
-    ()
+    ~rib_out:p.rib_out want
 
+(* Colours in [Color.all] order per neighbour: the order the messages draw
+   their delays in. *)
 let advertise_all t r =
-  Array.iter
-    (fun (n, _) ->
-      List.iter (fun color -> advertise_to t r n color) Color.all)
-    (Topology.neighbors t.topo r.v)
+  let plan = provider_plan t r in
+  for slot = 0 to Array.length r.export_deny - 1 do
+    advertise_to t r plan slot Color.Red;
+    advertise_to t r plan slot Color.Blue
+  done
 
 (* --- decision -------------------------------------------------------- *)
 
@@ -163,13 +174,8 @@ let origin_entry color =
   (* the destination's own blue route carries the lock obligation *)
   { route = Route.origin; lock = Color.equal color Color.Blue }
 
-let select_entry tbl =
-  Hashtbl.fold
-    (fun _ (e : entry) acc ->
-      match acc with
-      | None -> Some e
-      | Some cur -> if Decision.better e.route cur.route then Some e else acc)
-    tbl None
+let select_entry =
+  Decision.select_by (fun (e : entry) cur -> Decision.better e.route cur.route)
 
 (* Recompute one process's best; [loss] says whether the triggering event
    was a route loss (drives the ET attribute and the instability flag).
@@ -180,7 +186,7 @@ let recompute t r color ~loss =
   let best' =
     if r.v = t.dest then Some (origin_entry color) else select_entry p.adj_rib_in
   in
-  if best' <> p.best then begin
+  if not (Option.equal entry_equal best' p.best) then begin
     let next e = Option.bind e (fun e -> Route.learned_from e.route) in
     let old_next = next p.best and new_next = next best' in
     let cause =
@@ -210,7 +216,7 @@ let recompute t r color ~loss =
            { color = Color.to_string color; et_ok = not p.unstable })
   end
 
-let receive t r ~from { color; body } =
+let receive t r ~slot { color; body } =
   if Session_core.node_up t.core r.v then begin
     let p = proc r color in
     (* the ET bit decides: a poisoning withdrawal sent while a *better*
@@ -224,11 +230,19 @@ let receive t r ~from { color; body } =
     in
     (match body with
     | Announce { path; lock; _ } ->
-      if List.mem r.v path then Hashtbl.remove p.adj_rib_in from
+      if List.mem r.v path then p.adj_rib_in.(slot) <- None
       else
-        Hashtbl.replace p.adj_rib_in from
-          { route = { Route.as_path = path; cls = rel_exn t r.v from }; lock }
-    | Withdraw _ -> Hashtbl.remove p.adj_rib_in from);
+        p.adj_rib_in.(slot) <-
+          Some
+            {
+              route =
+                {
+                  Route.as_path = path;
+                  cls = snd (Topology.neighbors t.topo r.v).(slot);
+                };
+              lock;
+            }
+    | Withdraw _ -> p.adj_rib_in.(slot) <- None);
     recompute t r color ~loss;
     advertise_all t r
   end
@@ -240,18 +254,19 @@ let create sim topo ~dest ~coloring ?(spread_unlocked_blue = false) config =
   if dest < 0 || dest >= n then invalid_arg "Stamp_net.create: bad destination";
   let routers =
     Array.init n (fun v ->
+        let deg = Topology.degree topo v in
         {
           v;
           procs =
             Array.init 2 (fun _ ->
                 {
-                  adj_rib_in = Hashtbl.create 8;
+                  adj_rib_in = Array.make deg None;
                   best = None;
-                  rib_out = Hashtbl.create 8;
+                  rib_out = Array.make deg None;
                   unstable = false;
                   loss_pending = false;
                 });
-          export_deny = Hashtbl.create 2;
+          export_deny = Array.make deg false;
         })
   in
   (* procs:2 — one MRAI timer per colour per directed link, drawn in
@@ -260,8 +275,29 @@ let create sim topo ~dest ~coloring ?(spread_unlocked_blue = false) config =
     Session_core.create ~procs:2 ~who:"Stamp_net" config sim topo
   in
   let t = { core; topo; dest; coloring; spread_unlocked_blue; routers } in
-  Session_core.on_receive core (fun ~src ~dst msg ->
-      receive t t.routers.(dst) ~from:src msg);
+  Session_core.install core
+    {
+      receive =
+        (fun ~src:_ ~dst ~slot msg -> receive t t.routers.(dst) ~slot msg);
+      message =
+        (fun ~src ~proc:i adv ->
+          let color = Color.of_int i in
+          let et_ok = not (proc t.routers.(src) color).loss_pending in
+          match adv with
+          | Some e ->
+            {
+              color;
+              body =
+                Announce
+                  { path = src :: e.route.as_path; lock = e.lock; et_ok };
+            }
+          | None -> { color; body = Withdraw { et_ok } });
+      equal = same_announcement;
+      flush =
+        (fun ~src ~dst:_ ~slot ~proc:i ->
+          let r = t.routers.(src) in
+          advertise_to t r (provider_plan t r) slot (Color.of_int i));
+    };
   t
 
 let start t =
@@ -271,71 +307,50 @@ let start t =
 
 (* --- failures ---------------------------------------------------------- *)
 
-let drop_session t u v =
-  let clear r peer =
-    List.iter
-      (fun color ->
-        let p = proc r color in
-        let lost_best =
-          match p.best with
-          | Some { route; _ } -> Route.learned_from route = Some peer
-          | None -> false
-        in
-        Hashtbl.remove p.adj_rib_in peer;
-        Hashtbl.remove p.rib_out peer;
-        recompute t r color ~loss:lost_best)
-      Color.all;
-    advertise_all t r
-  in
-  clear t.routers.(u) v;
-  clear t.routers.(v) u
-
-let fail_link t u v = Session_core.fail_link t.core u v ~react:(fun () -> drop_session t u v)
-
-let recover_link t u v =
-  Session_core.recover_link t.core u v ~react:(fun () ->
-      (* both sessions re-establish with empty state; each side
-         re-advertises whatever the selective-announcement plan currently
-         assigns the peer *)
-      let refresh r peer =
-        List.iter
-          (fun color ->
-            let p = proc r color in
-            Hashtbl.remove p.adj_rib_in peer;
-            Hashtbl.remove p.rib_out peer;
-            recompute t r color ~loss:false)
-          Color.all;
-        advertise_all t r
-      in
-      refresh t.routers.(u) v;
-      refresh t.routers.(v) u)
-
-let fail_node t v =
-  Session_core.fail_node t.core v;
-  let r = t.routers.(v) in
+(* Forget everything exchanged with the peer at [slot] on both processes
+   and re-decide; [loss] says whether losing a best route learned from it
+   counts as a route loss. *)
+let reset_peer t r slot ~loss =
+  let peer = fst (Topology.neighbors t.topo r.v).(slot) in
   List.iter
     (fun color ->
       let p = proc r color in
-      Hashtbl.reset p.adj_rib_in;
-      Hashtbl.reset p.rib_out;
-      p.best <- None)
+      let lost_best =
+        match p.best with
+        | Some { route; _ } -> loss && Route.via route peer
+        | None -> false
+      in
+      p.adj_rib_in.(slot) <- None;
+      p.rib_out.(slot) <- None;
+      recompute t r color ~loss:lost_best)
     Color.all;
+  advertise_all t r
+
+let drop_session t u v ~loss =
+  reset_peer t t.routers.(u) (Topology.slot t.topo u v) ~loss;
+  reset_peer t t.routers.(v) (Topology.slot t.topo v u) ~loss
+
+let fail_link t u v =
+  Session_core.fail_link t.core u v ~react:(fun () ->
+      drop_session t u v ~loss:true)
+
+(* both sessions re-establish with empty state; each side re-advertises
+   whatever the selective-announcement plan currently assigns the peer *)
+let recover_link t u v =
+  Session_core.recover_link t.core u v ~react:(fun () ->
+      drop_session t u v ~loss:false)
+
+let clear_process p =
+  Array.fill p.adj_rib_in 0 (Array.length p.adj_rib_in) None;
+  Array.fill p.rib_out 0 (Array.length p.rib_out) None;
+  p.best <- None
+
+let fail_node t v =
+  Session_core.fail_node t.core v;
+  Array.iter clear_process t.routers.(v).procs;
   Array.iter
     (fun (n, _) ->
-      let rn = t.routers.(n) in
-      List.iter
-        (fun color ->
-          let p = proc rn color in
-          let lost_best =
-            match p.best with
-            | Some { route; _ } -> Route.learned_from route = Some v
-            | None -> false
-          in
-          Hashtbl.remove p.adj_rib_in v;
-          Hashtbl.remove p.rib_out v;
-          recompute t rn color ~loss:lost_best)
-        Color.all;
-      advertise_all t rn)
+      reset_peer t t.routers.(n) (Topology.slot t.topo n v) ~loss:true)
     (Topology.neighbors t.topo v)
 
 let recover_node t v =
@@ -345,9 +360,7 @@ let recover_node t v =
   List.iter
     (fun color ->
       let p = proc r color in
-      Hashtbl.reset p.adj_rib_in;
-      Hashtbl.reset p.rib_out;
-      p.best <- None;
+      clear_process p;
       p.unstable <- false;
       p.loss_pending <- false;
       recompute t r color ~loss:false)
@@ -358,28 +371,21 @@ let recover_node t v =
      just came back *)
   Array.iter
     (fun (n, _) ->
-      let rn = t.routers.(n) in
-      List.iter
-        (fun color ->
-          let p = proc rn color in
-          Hashtbl.remove p.adj_rib_in v;
-          Hashtbl.remove p.rib_out v;
-          recompute t rn color ~loss:false)
-        Color.all;
-      advertise_all t rn)
+      reset_peer t t.routers.(n) (Topology.slot t.topo n v) ~loss:false)
     (Topology.neighbors t.topo v)
 
 let deny_export t v n =
   Session_core.check_adjacent t.core ~op:"deny_export" v n;
   let r = t.routers.(v) in
-  Hashtbl.replace r.export_deny n ();
+  let slot = Topology.slot t.topo v n in
+  r.export_deny.(slot) <- true;
   (* a policy change is a withdrawal-type event: the AS where it happens
      marks the resulting withdrawals ET=0 (Section 5.2) *)
   List.iter
     (fun color ->
       let p = proc r color in
-      if Hashtbl.mem p.rib_out n then begin
-        Hashtbl.remove p.rib_out n;
+      if Option.is_some p.rib_out.(slot) then begin
+        p.rib_out.(slot) <- None;
         Session_core.send t.core ~src:v ~dst:n ~kind:`Withdraw
           { color; body = Withdraw { et_ok = false } }
       end)
@@ -387,8 +393,11 @@ let deny_export t v n =
 
 let allow_export t v n =
   Session_core.check_adjacent t.core ~op:"allow_export" v n;
-  Hashtbl.remove t.routers.(v).export_deny n;
-  List.iter (fun c -> advertise_to t t.routers.(v) n c) Color.all
+  let r = t.routers.(v) in
+  let slot = Topology.slot t.topo v n in
+  r.export_deny.(slot) <- false;
+  let plan = provider_plan t r in
+  List.iter (fun c -> advertise_to t r plan slot c) Color.all
 
 (* --- observation -------------------------------------------------------- *)
 
@@ -464,11 +473,15 @@ let forwarding t m =
 let probe t = forwarding t (Session_core.monitor t.core)
 let walk_all t = forwarding t (Session_core.fresh_monitor t.core)
 
+(* slot order is increasing neighbour order *)
 let announced t color v =
-  Hashtbl.fold
-    (fun n (_, lock) acc -> (n, lock) :: acc)
-    (proc t.routers.(v) color).rib_out []
-  |> List.sort compare
+  let rib_out = (proc t.routers.(v) color).rib_out in
+  List.filter_map
+    (fun slot ->
+      Option.map
+        (fun e -> (fst (Topology.neighbors t.topo v).(slot), e.lock))
+        rib_out.(slot))
+    (List.init (Array.length rib_out) Fun.id)
 
 let message_count t = Session_core.message_count t.core
 let last_change t = Session_core.last_change t.core

@@ -10,14 +10,14 @@ type ('tag, 'extra) msg =
 type 'ext router = {
   v : Topology.vertex;
   mutable best : Route.t option;
-  adj_rib_in : (Topology.vertex, Route.t) Hashtbl.t;
-  rib_out : (Topology.vertex, Topology.vertex list) Hashtbl.t;
-  export_deny : (Topology.vertex, unit) Hashtbl.t;
+  adj_rib_in : Route.t option array;
+  rib_out : Route.t option array;
+  export_deny : bool array;
   ext : 'ext;
 }
 
 type ('ext, 'tag, 'extra) net = {
-  core : ('tag, 'extra) msg Session_core.t;
+  core : (('tag, 'extra) msg, Route.t) Session_core.t;
   topo : Topology.t;
   dest : Topology.vertex;
   routers : 'ext router array;
@@ -41,22 +41,18 @@ module type PROTOCOL = sig
   type params
 
   val who : string
-  val init : params -> Topology.vertex -> ext
+  val init : params -> Topology.t -> Topology.vertex -> ext
   val announce : ext router -> Topology.vertex list -> (tag, extra) msg
-  val withdraw : ext router -> unit -> (tag, extra) msg
+  val withdraw : ext router -> (tag, extra) msg
 
   val received :
-    (ext, tag, extra) net ->
-    ext router ->
-    from:Topology.vertex ->
-    (tag, extra) msg ->
-    unit
+    (ext, tag, extra) net -> ext router -> slot:int -> (tag, extra) msg -> unit
 
   val reject : ext router -> Topology.vertex list -> bool
   val decided :
     (ext, tag, extra) net -> ext router -> old:Route.t option -> unit
   val refresh : (ext, tag, extra) net -> ext router -> unit
-  val drop_peer : ext router -> Topology.vertex -> unit
+  val drop_peer : ext router -> Topology.vertex -> slot:int -> unit
   val reset : ext router -> unit
   val lost : (ext, tag, extra) net -> ext router -> failure -> unit
   val restored : (ext, tag, extra) net -> failure -> unit
@@ -68,17 +64,13 @@ module Plain = struct
   type tag = unit
   type extra = none
 
-  let announce_msg path = Announce { path; tag = () }
-  let withdraw_msg () = Withdraw { tag = () }
-
-  (* arity 1: the advertise path gets the static functions, no closure *)
-  let announce _ = announce_msg
-  let withdraw _ = withdraw_msg
-  let received _ _ ~from:_ _ = ()
+  let announce _ path = Announce { path; tag = () }
+  let withdraw _ = Withdraw { tag = () }
+  let received _ _ ~slot:_ _ = ()
   let reject _ _ = false
   let decided _ _ ~old:_ = ()
   let refresh _ _ = ()
-  let drop_peer _ _ = ()
+  let drop_peer _ _ ~slot:_ = ()
   let reset _ = ()
   let lost _ _ _ = ()
   let restored _ _ = ()
@@ -94,42 +86,41 @@ let decision_cause ~old_best ~new_best =
 module Make (P : PROTOCOL) = struct
   type t = (P.ext, P.tag, P.extra) net
 
-  let rel_exn t u v =
-    match Topology.rel t.topo u v with
-    | Some r -> r
-    | None -> invalid_arg (P.who ^ ": vertices not adjacent")
-
   (* --- advertisement: export policy on top of Session_core ----------- *)
 
-  let rec advertise_to t r n =
+  (* What the neighbour at [slot] should hear: the best route, unless it
+     was learned there, its class may not be exported to the neighbour's
+     relationship, or policy denies the export. The skeleton announces it
+     as [r.v :: as_path] ([message]). *)
+  let advertise_to t r slot =
+    let n, rel = (Topology.neighbors t.topo r.v).(slot) in
     let desired =
       match r.best with
       | Some b
-        when Route.learned_from b <> Some n
-             && Export.exportable b ~to_rel:(rel_exn t r.v n)
-             && not (Hashtbl.mem r.export_deny n) ->
-        Some (r.v :: b.as_path)
+        when (not (Route.via b n))
+             && Export.exportable b ~to_rel:rel
+             && not r.export_deny.(slot) ->
+        r.best
       | Some _ | None -> None
     in
-    Session_core.advertise t.core ~src:r.v ~dst:n ~rib_out:r.rib_out ~desired
-      ~announce:(P.announce r) ~withdraw:(P.withdraw r)
-      ~retry:(fun () -> advertise_to t r n)
-      ()
+    Session_core.advertise t.core ~proc:0 ~src:r.v ~dst:n ~rib_out:r.rib_out
+      desired
 
   let advertise_all t r =
-    Array.iter
-      (fun (n, _) -> advertise_to t r n)
-      (Topology.neighbors t.topo r.v);
+    for slot = 0 to Array.length r.rib_out - 1 do
+      advertise_to t r slot
+    done;
     P.refresh t r
 
   (* --- decision ------------------------------------------------------ *)
 
   let recompute t r =
     let best' =
-      if r.v = t.dest then Some Route.origin else Decision.select_tbl r.adj_rib_in
+      if r.v = t.dest then Some Route.origin
+      else Decision.select_rib r.adj_rib_in
     in
     let old = r.best in
-    if best' <> old then begin
+    if not (Option.equal Route.equal best' old) then begin
       r.best <- best';
       Session_core.note_decision t.core ~node:r.v
         ~old_next:(Option.bind old Route.learned_from)
@@ -145,20 +136,24 @@ module Make (P : PROTOCOL) = struct
 
   (* --- receiving ----------------------------------------------------- *)
 
-  let receive t r ~from msg =
+  let receive t r ~slot msg =
     if Session_core.node_up t.core r.v then begin
-      P.received t r ~from msg;
+      P.received t r ~slot msg;
       (match msg with
       | Announce { path; _ } ->
         if List.mem r.v path || P.reject r path then
           (* own AS in path (or rejected by the protocol): discard,
              dropping any previous route from the peer (implicit
              withdraw) *)
-          Hashtbl.remove r.adj_rib_in from
+          r.adj_rib_in.(slot) <- None
         else
-          Hashtbl.replace r.adj_rib_in from
-            { Route.as_path = path; cls = rel_exn t r.v from }
-      | Withdraw _ -> Hashtbl.remove r.adj_rib_in from
+          r.adj_rib_in.(slot) <-
+            Some
+              {
+                Route.as_path = path;
+                cls = snd (Topology.neighbors t.topo r.v).(slot);
+              }
+      | Withdraw _ -> r.adj_rib_in.(slot) <- None
       | Extra _ -> ());
       recompute t r
     end
@@ -171,35 +166,51 @@ module Make (P : PROTOCOL) = struct
       invalid_arg (P.who ^ ".create: bad destination");
     let routers =
       Array.init n (fun v ->
+          let deg = Topology.degree topo v in
           {
             v;
             best = None;
-            adj_rib_in = Hashtbl.create 8;
-            rib_out = Hashtbl.create 8;
-            export_deny = Hashtbl.create 2;
-            ext = P.init params v;
+            adj_rib_in = Array.make deg None;
+            rib_out = Array.make deg None;
+            export_deny = Array.make deg false;
+            ext = P.init params topo v;
           })
     in
     let core = Session_core.create ~who:P.who config sim topo in
     let t = { core; topo; dest; routers } in
-    Session_core.on_receive core (fun ~src ~dst msg ->
-        receive t t.routers.(dst) ~from:src msg);
+    Session_core.install core
+      {
+        receive =
+          (fun ~src:_ ~dst ~slot msg ->
+            receive t t.routers.(dst) ~slot msg);
+        message =
+          (fun ~src ~proc:_ adv ->
+            let r = t.routers.(src) in
+            match adv with
+            | Some (b : Route.t) -> P.announce r (src :: b.as_path)
+            | None -> P.withdraw r);
+        equal = Route.same_path;
+        flush =
+          (fun ~src ~dst:_ ~slot ~proc:_ ->
+            advertise_to t t.routers.(src) slot);
+      };
     t
 
   let start t = recompute t t.routers.(t.dest)
 
   (* --- failures ------------------------------------------------------ *)
 
-  let drop_peer r peer =
-    Hashtbl.remove r.adj_rib_in peer;
-    Hashtbl.remove r.rib_out peer;
-    P.drop_peer r peer
+  let drop_peer t r peer =
+    let slot = Topology.slot t.topo r.v peer in
+    r.adj_rib_in.(slot) <- None;
+    r.rib_out.(slot) <- None;
+    P.drop_peer r peer ~slot
 
   let fail_link t u v =
     Session_core.fail_link t.core u v ~react:(fun () ->
         let ru = t.routers.(u) and rv = t.routers.(v) in
-        drop_peer ru v;
-        drop_peer rv u;
+        drop_peer t ru v;
+        drop_peer t rv u;
         let cause = Link (u, v) in
         P.lost t ru cause;
         P.lost t rv cause;
@@ -209,27 +220,27 @@ module Make (P : PROTOCOL) = struct
   let recover_link t u v =
     Session_core.recover_link t.core u v ~react:(fun () ->
         let ru = t.routers.(u) and rv = t.routers.(v) in
-        drop_peer ru v;
-        drop_peer rv u;
+        drop_peer t ru v;
+        drop_peer t rv u;
         P.restored t (Link (u, v));
         (* session re-establishes: each side advertises its current best *)
-        advertise_to t ru v;
-        advertise_to t rv u;
+        advertise_to t ru (Topology.slot t.topo u v);
+        advertise_to t rv (Topology.slot t.topo v u);
         P.refresh t ru;
         P.refresh t rv)
 
   let fail_node t v =
     Session_core.fail_node t.core v;
     let r = t.routers.(v) in
-    Hashtbl.reset r.adj_rib_in;
-    Hashtbl.reset r.rib_out;
+    Array.fill r.adj_rib_in 0 (Array.length r.adj_rib_in) None;
+    Array.fill r.rib_out 0 (Array.length r.rib_out) None;
     r.best <- None;
     P.reset r;
     let cause = Node v in
     Array.iter
       (fun (n, _) ->
         let rn = t.routers.(n) in
-        drop_peer rn v;
+        drop_peer t rn v;
         P.lost t rn cause;
         recompute t rn)
       (Topology.neighbors t.topo v)
@@ -241,21 +252,21 @@ module Make (P : PROTOCOL) = struct
     (* re-originates if [v] is the destination; otherwise the RIBs are empty
        and best stays None until neighbours re-announce *)
     recompute t r;
-    Array.iter
-      (fun (n, _) ->
+    Array.iteri
+      (fun slot (n, _) ->
         let rn = t.routers.(n) in
         (* sessions re-establish: each side advertises its current best *)
-        advertise_to t rn v;
-        advertise_to t r n;
+        advertise_to t rn (Topology.slot t.topo n v);
+        advertise_to t r slot;
         P.refresh t rn)
       (Topology.neighbors t.topo v)
 
   let set_export t v n ~deny ~op =
     Session_core.check_adjacent t.core ~op v n;
     let r = t.routers.(v) in
-    if deny then Hashtbl.replace r.export_deny n ()
-    else Hashtbl.remove r.export_deny n;
-    advertise_to t r n;
+    let slot = Topology.slot t.topo v n in
+    r.export_deny.(slot) <- deny;
+    advertise_to t r slot;
     P.refresh t r
 
   let deny_export t v n = set_export t v n ~deny:true ~op:"deny_export"

@@ -9,7 +9,7 @@
     a diverging copy of the machinery — so BGP itself is {!Make} applied to
     {!Plain}'s no-op hooks. In the SRP vocabulary: [init] is the
     origin route, [trans] is export plus the own-AS loop discard, [merge]
-    is {!Decision.select_tbl}; the hooks only add state beside them.
+    is {!Decision.select_rib}; the hooks only add state beside them.
 
     Reproducibility: hooks must not draw randomness except through
     {!Session_core.send}, whose draw order the skeleton's call order fixes
@@ -29,19 +29,24 @@ type ('tag, 'extra) msg =
   | Withdraw of { tag : 'tag }
   | Extra of 'extra
 
+(** A router. Its per-neighbour state is held in arrays indexed by the
+    neighbour's slot ({!Topology.slot}: the index in
+    [Topology.neighbors topo v]). *)
 type 'ext router = {
   v : Topology.vertex;
   mutable best : Route.t option;
-  adj_rib_in : (Topology.vertex, Route.t) Hashtbl.t;
-  rib_out : (Topology.vertex, Topology.vertex list) Hashtbl.t;
-      (** the path each neighbour last heard from us *)
-  export_deny : (Topology.vertex, unit) Hashtbl.t;
+  adj_rib_in : Route.t option array;
+      (** the route learned from each neighbour, if any *)
+  rib_out : Route.t option array;
+      (** the route each neighbour last heard from us (announced as
+          [v :: as_path]) *)
+  export_deny : bool array;
       (** neighbours this router's policy currently forbids exporting to *)
   ext : 'ext;  (** the protocol's per-router state *)
 }
 
 type ('ext, 'tag, 'extra) net = {
-  core : ('tag, 'extra) msg Session_core.t;
+  core : (('tag, 'extra) msg, Route.t) Session_core.t;
   topo : Topology.t;
   dest : Topology.vertex;
   routers : 'ext router array;
@@ -63,26 +68,21 @@ module type PROTOCOL = sig
   val who : string
   (** Engine id in traces and prefix of error messages (["Bgp_net"]). *)
 
-  val init : params -> Topology.vertex -> ext
+  val init : params -> Topology.t -> Topology.vertex -> ext
+  (** The protocol state of the router at a vertex. *)
 
   val announce : ext router -> Topology.vertex list -> (tag, extra) msg
-  (** The announcement message of a path; applied to the router once per
-      advertisement attempt, so a closure-free [announce] must have arity 1
-      (return a static function) to keep the advertise path
-      allocation-free. *)
+  (** The announcement message of a path (the router's own AS first);
+      called only when the message is sent. *)
 
-  val withdraw : ext router -> unit -> (tag, extra) msg
+  val withdraw : ext router -> (tag, extra) msg
   (** As {!announce}, for withdrawals. *)
 
   val received :
-    (ext, tag, extra) net ->
-    ext router ->
-    from:Topology.vertex ->
-    (tag, extra) msg ->
-    unit
+    (ext, tag, extra) net -> ext router -> slot:int -> (tag, extra) msg -> unit
   (** Runs first on every message delivered to an up router, before the
       skeleton updates the Adj-RIB-In ([Extra] messages are handled here
-      only). *)
+      only); [slot] is the sender's slot. *)
 
   val reject : ext router -> Topology.vertex list -> bool
   (** Whether an announced path is discarded like a looping one. *)
@@ -98,8 +98,8 @@ module type PROTOCOL = sig
       unchanged, after the per-peer re-advertisements of a recovered
       session (each side in turn) and after an export-policy change. *)
 
-  val drop_peer : ext router -> Topology.vertex -> unit
-  (** Session with the peer reset: drop per-peer state. *)
+  val drop_peer : ext router -> Topology.vertex -> slot:int -> unit
+  (** Session with the peer (at [slot]) reset: drop per-peer state. *)
 
   val reset : ext router -> unit
   (** The router's node failed: drop all per-session state. *)
@@ -122,12 +122,12 @@ module Plain : sig
   type extra = none
 
   val announce : 'r -> Topology.vertex list -> (tag, extra) msg
-  val withdraw : 'r -> unit -> (tag, extra) msg
-  val received : 'n -> 'r -> from:Topology.vertex -> 'm -> unit
+  val withdraw : 'r -> (tag, extra) msg
+  val received : 'n -> 'r -> slot:int -> 'm -> unit
   val reject : 'r -> Topology.vertex list -> bool
   val decided : 'n -> 'r -> old:Route.t option -> unit
   val refresh : 'n -> 'r -> unit
-  val drop_peer : 'r -> Topology.vertex -> unit
+  val drop_peer : 'r -> Topology.vertex -> slot:int -> unit
   val reset : 'r -> unit
   val lost : 'n -> 'r -> failure -> unit
   val restored : 'n -> failure -> unit

@@ -21,6 +21,19 @@ val origin : t
 val learned_from : t -> Topology.vertex option
 (** Head of the path; [None] for the origin route. *)
 
+val via : t -> Topology.vertex -> bool
+(** [via r v] iff [r] was learned from [v] ([learned_from r = Some v]),
+    without allocating. *)
+
+val same_neighbor : t -> t -> bool
+(** [learned_from a = learned_from b], without allocating. *)
+
+val equal : t -> t -> bool
+(** Structural equality, monomorphic. *)
+
+val same_path : t -> t -> bool
+(** Equal AS paths (what an announcement of the route carries). *)
+
 val length : t -> int
 (** AS-path length. *)
 

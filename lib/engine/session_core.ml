@@ -1,4 +1,13 @@
-type 'msg t = {
+type ('msg, 'adv) hooks = {
+  receive :
+    src:Topology.vertex -> dst:Topology.vertex -> slot:int -> 'msg -> unit;
+  message : src:Topology.vertex -> proc:int -> 'adv option -> 'msg;
+  equal : 'adv -> 'adv -> bool;
+  flush :
+    src:Topology.vertex -> dst:Topology.vertex -> slot:int -> proc:int -> unit;
+}
+
+type ('msg, 'adv) t = {
   sim : Sim.t;
   topo : Topology.t;
   who : string;
@@ -6,11 +15,14 @@ type 'msg t = {
   counters : Counters.t;
   detect_delay : float;
   trace : Trace.sink;
-  chans : (Topology.vertex * Topology.vertex, 'msg Channel.t) Hashtbl.t;
-  mrais : (Topology.vertex * Topology.vertex * int, Mrai.t) Hashtbl.t;
+  procs : int;
+  mutable chans : 'msg Channel.t array;
+      (* by directed edge id; set once in [create] (delivery closes over
+         the core) *)
+  mrais : Mrai.t array;  (* by [edge * procs + proc] *)
   monitor : Fwd_monitor.t;
   mutable last_change : float;
-  mutable handler : src:Topology.vertex -> dst:Topology.vertex -> 'msg -> unit;
+  mutable hooks : ('msg, 'adv) hooks;
 }
 
 (* Trace emission helpers: every call is guarded by [Trace.enabled], so a
@@ -34,56 +46,70 @@ let create ?(procs = 1) ~who
   if detect_delay < 0. || Float.is_nan detect_delay then
     invalid_arg (who ^ ".create: negative detect delay");
   if procs < 1 then invalid_arg (who ^ ".create: non-positive process count");
+  let not_installed _ =
+    invalid_arg (who ^ ": Session_core hooks not installed")
+  in
+  (* [procs] MRAI timers per directed link, in edge-id order — the fixed
+     vertices × neighbors order every engine historically used. The order
+     is part of the reproducibility contract: Mrai.create draws one RNG
+     float per timer, so any reordering would shift every later draw and
+     silently change all pinned experiment numbers. Channels draw
+     nothing. *)
+  let mrais =
+    Array.init
+      (Topology.num_edges topo * procs)
+      (fun _ -> Mrai.create (Sim.rng sim) ~base:mrai_base ())
+  in
   let core =
     {
       sim;
       topo;
       who;
-      links = Link_state.create ~n:(Topology.num_vertices topo);
+      links = Link_state.create topo;
       counters = Counters.make ();
       detect_delay;
       trace;
-      chans = Hashtbl.create 64;
-      mrais = Hashtbl.create 64;
+      procs;
+      chans = [||];
+      mrais;
       monitor = Fwd_monitor.create (Topology.num_vertices topo);
       last_change = 0.;
-      handler =
-        (fun ~src:_ ~dst:_ _ ->
-          invalid_arg (who ^ ": Session_core receive handler not installed"));
+      hooks =
+        {
+          receive = (fun ~src:_ ~dst:_ ~slot:_ -> not_installed);
+          message = (fun ~src:_ ~proc:_ -> not_installed);
+          equal = (fun _ -> not_installed);
+          flush = (fun ~src:_ ~dst:_ ~slot:_ ~proc:_ -> not_installed ());
+        };
     }
   in
-  (* One ordered channel and [procs] MRAI timers per directed link, in the
-     fixed vertices × neighbors iteration order every engine historically
-     used. The order is part of the reproducibility contract: Mrai.create
-     draws one RNG float per timer, so any reordering would shift every
-     later draw and silently change all pinned experiment numbers. *)
-  Array.iter
-    (fun u ->
-      Array.iter
-        (fun (v, _) ->
-          let deliver msg =
-            (* messages in flight when a link or endpoint fails are lost *)
-            if Link_state.link_up core.links u v then begin
-              trace_link core u v Trace.Deliver;
-              core.handler ~src:u ~dst:v msg
-            end
-            else begin
-              trace_link core u v Trace.Drop;
-              core.counters.lost_to_resets <-
-                core.counters.lost_to_resets + 1
-            end
-          in
-          Hashtbl.replace core.chans (u, v)
-            (Channel.create sim ~deliver);
-          for p = 0 to procs - 1 do
-            Hashtbl.replace core.mrais (u, v, p)
-              (Mrai.create (Sim.rng sim) ~base:mrai_base ())
-          done)
-        (Topology.neighbors topo u))
-    (Topology.vertices topo);
+  let chan u e v =
+    (* [u]'s slot at [v]: the receiver's index of the sender *)
+    let slot = Topology.slot topo v u in
+    let deliver msg =
+      (* messages in flight when a link or endpoint fails are lost *)
+      if Link_state.edge_up core.links ~src:u ~dst:v e then begin
+        trace_link core u v Trace.Deliver;
+        core.hooks.receive ~src:u ~dst:v ~slot msg
+      end
+      else begin
+        trace_link core u v Trace.Drop;
+        core.counters.lost_to_resets <- core.counters.lost_to_resets + 1
+      end
+    in
+    Channel.create sim ~deliver
+  in
+  (* one ordered channel per directed link, by edge id *)
+  core.chans <-
+    Array.concat
+      (List.init (Topology.num_vertices topo) (fun u ->
+           let first = Topology.first_edge topo u in
+           Array.mapi
+             (fun s (v, _) -> chan u (first + s) v)
+             (Topology.neighbors topo u)));
   core
 
-let on_receive core handler = core.handler <- handler
+let install core hooks = core.hooks <- hooks
 let sim core = core.sim
 let links core = core.links
 let counters core = core.counters
@@ -110,12 +136,18 @@ let note_decision core ~node ~old_next ~new_next ~cause =
            cause;
          })
 
-let send core ~src ~dst ~kind msg =
+let edge_exn core ~op u v =
+  let e = Topology.edge core.topo u v in
+  if e < 0 then
+    invalid_arg (Printf.sprintf "%s.%s: vertices not adjacent" core.who op);
+  e
+
+let send_on core e ~src ~dst ~kind msg =
   (match kind with
   | `Announce ->
     core.counters.announcements <- core.counters.announcements + 1
   | `Withdraw -> core.counters.withdrawals <- core.counters.withdrawals + 1);
-  let chan = Hashtbl.find core.chans (src, dst) in
+  let chan = core.chans.(e) in
   Channel.send chan msg;
   if Trace.enabled core.trace then
     trace_link core src dst
@@ -126,28 +158,34 @@ let send core ~src ~dst ~kind msg =
            deliver_at = Channel.last_delivery chan;
          })
 
+let send core ~src ~dst ~kind msg =
+  send_on core (edge_exn core ~op:"send" src dst) ~src ~dst ~kind msg
+
 (* Reconcile what neighbour [dst] should currently hear from [src] with
    what it last heard; send the delta, deferring announcements under MRAI.
-   [retry] re-enters the engine's own advertise path when a deferred flush
-   fires, so the desired value is recomputed at flush time. *)
-let advertise core ?(proc = 0) ~src ~dst ~rib_out ~desired ~announce ~withdraw
-    ~retry () =
-  if Link_state.link_up core.links src dst then begin
-    let current = Hashtbl.find_opt rib_out dst in
-    match (desired, current) with
+   A deferred flush re-enters the engine through its [flush] hook, so the
+   desired value is recomputed at flush time. Nothing here allocates
+   unless a message is sent or a flush is scheduled. *)
+let advertise core ~proc ~src ~dst ~rib_out desired =
+  let e = edge_exn core ~op:"advertise" src dst in
+  if Link_state.edge_up core.links ~src ~dst e then begin
+    let slot = e - Topology.first_edge core.topo src in
+    match (desired, rib_out.(slot)) with
     | None, None -> ()
     | None, Some _ ->
       (* withdrawals are immediate *)
-      Hashtbl.remove rib_out dst;
-      send core ~src ~dst ~kind:`Withdraw (withdraw ())
-    | Some p, Some p' when p = p' -> ()
-    | Some p, (Some _ | None) ->
-      let m = Hashtbl.find core.mrais (src, dst, proc) in
+      rib_out.(slot) <- None;
+      send_on core e ~src ~dst ~kind:`Withdraw
+        (core.hooks.message ~src ~proc None)
+    | Some p, Some p' when core.hooks.equal p p' -> ()
+    | Some _, (Some _ | None) ->
+      let m = core.mrais.((e * core.procs) + proc) in
       let now = Sim.now core.sim in
       if Mrai.ready m ~now then begin
         Mrai.note_sent m ~now;
-        Hashtbl.replace rib_out dst p;
-        send core ~src ~dst ~kind:`Announce (announce p)
+        rib_out.(slot) <- desired;
+        send_on core e ~src ~dst ~kind:`Announce
+          (core.hooks.message ~src ~proc desired)
       end
       else begin
         core.counters.mrai_deferrals <- core.counters.mrai_deferrals + 1;
@@ -160,14 +198,12 @@ let advertise core ?(proc = 0) ~src ~dst ~rib_out ~desired ~announce ~withdraw
               Mrai.set_flush_scheduled m false;
               if Trace.enabled core.trace then
                 trace_link core src dst (Trace.Mrai_flush { proc });
-              retry ())
+              core.hooks.flush ~src ~dst ~slot ~proc)
         end
       end
   end
 
-let check_adjacent core ~op u v =
-  if Topology.rel core.topo u v = None then
-    invalid_arg (Printf.sprintf "%s.%s: vertices not adjacent" core.who op)
+let check_adjacent core ~op u v = ignore (edge_exn core ~op u v : int)
 
 let fail_link core u v ~react =
   check_adjacent core ~op:"fail_link" u v;

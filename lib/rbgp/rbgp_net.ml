@@ -10,9 +10,9 @@ type failover = { path : Topology.vertex list option; rci : cause option }
 
 type ext = {
   rci_enabled : bool;
-  failover_rib : (Topology.vertex, Topology.vertex list) Hashtbl.t;
-      (** failover paths received: advertiser → pinned path starting at the
-          advertiser *)
+  failover_rib : Topology.vertex list option array;
+      (** failover paths received, by the advertiser's slot: the pinned
+          path, starting at the advertiser *)
   mutable failover_out : (Topology.vertex * Topology.vertex list) option;
       (** (receiver, path) of our currently advertised failover path *)
   mutable withdrawn : Route.t option;
@@ -56,18 +56,13 @@ let pick_failover (r : ext router) (best : Route.t) ~recipient =
     List.length
       (List.filter (fun x -> List.mem x best.as_path) alt.Route.as_path)
   in
-  Hashtbl.fold
-    (fun from (alt : Route.t) acc ->
-      if Some from = Route.learned_from best || List.mem recipient alt.as_path
-      then acc
-      else
-        match acc with
-        | None -> Some alt
-        | Some cur ->
-          let s = shared alt and sc = shared cur in
-          if s < sc || (s = sc && Decision.better alt cur) then Some alt
-          else acc)
-    r.adj_rib_in None
+  Decision.select_by
+    ~keep:(fun (alt : Route.t) ->
+      not (Route.same_neighbor alt best || List.mem recipient alt.as_path))
+    (fun alt cur ->
+      let s = shared alt and sc = shared cur in
+      s < sc || (s = sc && Decision.better alt cur))
+    r.adj_rib_in
 
 let update_failover (t : (ext, _, _) net) r =
   let desired =
@@ -98,7 +93,7 @@ let update_failover (t : (ext, _, _) net) r =
     (match desired with
     | Some (n, p)
       when Session_core.link_up t.core r.v n
-           && not (Hashtbl.mem r.export_deny n) ->
+           && not r.export_deny.(Topology.slot t.topo r.v n) ->
       Session_core.send t.core ~src:r.v ~dst:n ~kind:`Announce
         (Extra { path = Some p; rci = r.ext.last_cause })
     | Some _ | None -> ());
@@ -106,9 +101,10 @@ let update_failover (t : (ext, _, _) net) r =
 
 (* --- RCI purge ------------------------------------------------------- *)
 
-let purge tbl stale =
-  Hashtbl.fold (fun k x acc -> if stale x then k :: acc else acc) tbl []
-  |> List.iter (Hashtbl.remove tbl)
+let purge rib stale =
+  Array.iteri
+    (fun s -> function Some x when stale x -> rib.(s) <- None | _ -> ())
+    rib
 
 let learn_cause (t : (ext, _, _) net) r cause =
   let x = r.ext in
@@ -145,10 +141,10 @@ include Path_vector.Make (struct
 
   let who = "Rbgp_net"
 
-  let init rci_enabled _ =
+  let init rci_enabled topo v =
     {
       rci_enabled;
-      failover_rib = Hashtbl.create 4;
+      failover_rib = Array.make (Topology.degree topo v) None;
       failover_out = None;
       withdrawn = None;
       known_causes = [];
@@ -157,9 +153,9 @@ include Path_vector.Make (struct
 
   (* updates carry the root cause of the event that triggered them *)
   let announce r path = Announce { path; tag = r.ext.last_cause }
-  let withdraw r () = Withdraw { tag = r.ext.last_cause }
+  let withdraw r = Withdraw { tag = r.ext.last_cause }
 
-  let received t r ~from msg =
+  let received t r ~slot msg =
     let rci =
       match msg with
       | Announce { tag; _ } | Withdraw { tag } | Extra { rci = tag; _ } -> tag
@@ -168,10 +164,10 @@ include Path_vector.Make (struct
     match msg with
     | Extra { path; _ } -> begin
       Session_core.touch t.core r.v;
-      match path with
-      | Some p when not (stale r p) ->
-        Hashtbl.replace r.ext.failover_rib from p
-      | Some _ | None -> Hashtbl.remove r.ext.failover_rib from
+      r.ext.failover_rib.(slot) <-
+        (match path with
+        | Some p when not (stale r p) -> path
+        | Some _ | None -> None)
     end
     | Announce _ | Withdraw _ -> ()
 
@@ -188,14 +184,14 @@ include Path_vector.Make (struct
 
   let refresh = update_failover
 
-  let drop_peer r peer =
-    Hashtbl.remove r.ext.failover_rib peer;
+  let drop_peer r peer ~slot =
+    r.ext.failover_rib.(slot) <- None;
     match r.ext.failover_out with
     | Some (n, _) when n = peer -> r.ext.failover_out <- None
     | Some _ | None -> ()
 
   let reset r =
-    Hashtbl.reset r.ext.failover_rib;
+    Array.fill r.ext.failover_rib 0 (Array.length r.ext.failover_rib) None;
     r.ext.failover_out <- None
 
   (* adjacent ASes know the root cause by local detection, with or without
@@ -220,12 +216,10 @@ end)
 
 let create ~rci sim topo ~dest config = create rci sim topo ~dest config
 
-(* (advertiser, path) in the order the forwarding plane tries them *)
-let sorted_failovers r =
-  Hashtbl.fold (fun from p acc -> (from, p) :: acc) r.ext.failover_rib []
-  |> List.sort compare
-
-let failover_choices t v = List.map snd (sorted_failovers t.routers.(v))
+(* slot order: the increasing advertiser order the forwarding plane tries
+   them in *)
+let failover_choices t v =
+  List.filter_map Fun.id (Array.to_list t.routers.(v).ext.failover_rib)
 
 (* A pinned failover path delivers iff every hop is alive. *)
 let pinned_alive t path =
@@ -251,13 +245,16 @@ let forwarding t m =
            whether the rest of the pinned path is alive. Under RCI, stale
            failover paths were purged, so the pick is trustworthy; without
            RCI the packet follows a possibly dead path and is lost. *)
-        match
-          List.find_opt
-            (fun (from, _) -> Link_state.link_up links v from)
-            (sorted_failovers r)
-        with
-        | Some (_, p) -> if pinned_alive t p then `Deliver else `Drop
-        | None -> `Drop
+        let nbrs = Topology.neighbors t.topo v in
+        let rec first slot =
+          if slot >= Array.length nbrs then `Drop
+          else
+            match r.ext.failover_rib.(slot) with
+            | Some p when Link_state.link_up links v (fst nbrs.(slot)) ->
+              if pinned_alive t p then `Deliver else `Drop
+            | Some _ | None -> first (slot + 1)
+        in
+        first 0
       end)
 
 let walk_all t = forwarding t (Session_core.fresh_monitor t.core)

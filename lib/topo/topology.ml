@@ -4,6 +4,10 @@ type t = {
   asn_of_vertex : int array;
   vertex_of_asn : (int, int) Hashtbl.t;
   adj : (vertex * Relationship.t) array array;
+  edge_off : int array;
+      (* [edge_off.(u)] is the id of [u]'s first out-edge; [n + 1] entries,
+         the last one is the number of directed edges *)
+  edge_dst : vertex array;  (* head of every directed edge, by edge id *)
   providers : vertex array array;
   customers : vertex array array;
   peers : vertex array array;
@@ -77,6 +81,17 @@ module Builder = struct
                neighbours []))
         adj
     in
+    let edge_off = Array.make (n + 1) 0 in
+    for u = 0 to n - 1 do
+      edge_off.(u + 1) <- edge_off.(u) + Array.length adj.(u)
+    done;
+    let edge_dst = Array.make edge_off.(n) 0 in
+    Array.iteri
+      (fun u neighbours ->
+        Array.iteri
+          (fun s (v, _) -> edge_dst.(edge_off.(u) + s) <- v)
+          neighbours)
+      adj;
     let providers = select Relationship.Provider in
     let customers = select Relationship.Customer in
     let peers = select Relationship.Peer in
@@ -96,6 +111,8 @@ module Builder = struct
       asn_of_vertex;
       vertex_of_asn;
       adj;
+      edge_off;
+      edge_dst;
       providers;
       customers;
       peers;
@@ -114,15 +131,29 @@ let providers t v = t.providers.(v)
 let customers t v = t.customers.(v)
 let peers t v = t.peers.(v)
 
+(* Binary search for [v] among the sorted heads [dst.(lo .. hi - 1)];
+   top-level, so a lookup allocates no closure. *)
+let rec search dst v lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) lsr 1 in
+    let w = dst.(mid) in
+    if w = v then mid
+    else if w < v then search dst v (mid + 1) hi
+    else search dst v lo mid
+
+let edge t u v = search t.edge_dst v t.edge_off.(u) t.edge_off.(u + 1)
+
+let slot t u v =
+  let e = edge t u v in
+  if e < 0 then -1 else e - t.edge_off.(u)
+
 let rel t u v =
-  let a = t.adj.(u) in
-  let rec loop i =
-    if i >= Array.length a then None
-    else
-      let w, r = a.(i) in
-      if w = v then Some r else loop (i + 1)
-  in
-  loop 0
+  let s = slot t u v in
+  if s < 0 then None else Some (snd t.adj.(u).(s))
+
+let num_edges t = Array.length t.edge_dst
+let first_edge t u = t.edge_off.(u)
 
 let degree t v = Array.length t.adj.(v)
 let num_links t = t.num_links

@@ -69,10 +69,34 @@ val peers : t -> vertex -> vertex array
 
 val rel : t -> vertex -> vertex -> Relationship.t option
 (** [rel t u v] is the relationship of [v] as seen from [u], if the link
-    exists. *)
+    exists (found by {!slot}). *)
 
 val degree : t -> vertex -> int
 (** Total number of neighbours. *)
+
+(** {1 Edge ids}
+
+    Per-link simulator state lives in flat arrays indexed by directed
+    edge id. The out-edges of [u] are numbered contiguously, from
+    [first_edge t u], in the order of [neighbors t u] (increasing
+    neighbour index): the edge to [(neighbors t u).(s)] has id
+    [first_edge t u + s], and [s] is the neighbour's {e slot} at [u].
+    Lookups binary-search the sorted adjacency and allocate nothing. *)
+
+val num_edges : t -> int
+(** Number of directed edges: twice {!num_links}. *)
+
+val first_edge : t -> vertex -> int
+(** Id of [u]'s first out-edge; [first_edge t u + degree t u] is the next
+    vertex's first. *)
+
+val edge : t -> vertex -> vertex -> int
+(** [edge t u v] is the id of the directed edge [u -> v], or [-1] if the
+    pair shares no link. *)
+
+val slot : t -> vertex -> vertex -> int
+(** [slot t u v] is [v]'s index in [neighbors t u], or [-1] if the pair
+    shares no link. *)
 
 val num_links : t -> int
 (** Number of undirected AS links. *)

@@ -409,6 +409,75 @@ let test_probe_matches_full_walk () =
         scenarios)
     (Engine.Registry.all () @ [ ("hybrid, every other AS", partial_hybrid) ])
 
+(* R-BGP changes two forwarding inputs without a best-route decision, so
+   only its explicit [Session_core.touch] calls tell the monitor:
+   - the RCI purge in [learn_cause]: a new root cause arrives at an AS
+     without a usable best route and drops the withdrawn route (or
+     failover path) it was forwarding on, so it falls back to another;
+   - [lost]: a session reset fires after its detection delay although the
+     link has come back meanwhile, and drops the failover path the peer
+     re-sent after the recovery, which the AS was forwarding on.
+   Each scenario below makes one of them visible (deleting that touch
+   fails it); probing after every simulation event, the monitor must agree
+   with the full walk. Times are seconds after initial convergence. *)
+let rbgp_touch_scenarios =
+  [
+    ( "new root cause purges a fallback",
+      (6, 40),
+      8,
+      1.,
+      [ (0., `Fail (8, 2)); (0.5, `Fail (3, 1)) ] );
+    ( "late session reset drops a failover path",
+      (129, 100),
+      13,
+      2.,
+      [
+        (0.05, `Fail (8, 4));
+        (0.5, `Fail (13, 8));
+        (2.5, `Fail (8, 5));
+        (3.9, `Recover (8, 5));
+      ] );
+  ]
+
+let test_rbgp_touches () =
+  List.iter
+    (fun (label, (seed, n), dest, detect_delay, events) ->
+      let t = Topo_gen.generate (Topo_gen.default_params ~seed ~n ()) in
+      let v = vtx t in
+      List.iter
+        (fun engine ->
+          let module E = (val engine : Engine.S) in
+          let label = E.name ^ "/" ^ label in
+          let sim = Sim.create ~seed:3 () in
+          let inst =
+            Engine.create engine sim t ~dest:(v dest)
+              { Engine.default_config with detect_delay }
+          in
+          Engine.start inst;
+          check_quiesced label sim;
+          ignore (Engine.probe inst);
+          List.iter
+            (fun (dt, e) ->
+              inject inst sim
+                (Scenario.At
+                   ( dt,
+                     match e with
+                     | `Fail (a, b) -> Scenario.Fail_link (v a, v b)
+                     | `Recover (a, b) -> Scenario.Recover_link (v a, v b) )))
+            events;
+          let steps = ref 0 and mismatches = ref 0 in
+          while !steps < max_events && Sim.step sim do
+            incr steps;
+            if not (same_statuses (Engine.probe inst) (Engine.walk_all inst))
+            then incr mismatches
+          done;
+          Alcotest.(check int)
+            (Printf.sprintf "%s: events (of %d) after which probe <> full walk"
+               label !steps)
+            0 !mismatches)
+        [ Rbgp_net.no_rci; Rbgp_net.rci ])
+    rbgp_touch_scenarios
+
 (* No engine's probe bypasses its monitor: with nothing changed since the
    last probe, the monitor hands back the same array. A probe that walked
    afresh would return a new one. *)
@@ -446,6 +515,8 @@ let () =
             test_probe_matches_full_walk;
           Alcotest.test_case "probe goes through the monitor" `Quick
             test_probe_reuses_unchanged;
+          Alcotest.test_case "R-BGP touches without a decision" `Quick
+            test_rbgp_touches;
         ] );
       ( "registry",
         [ Alcotest.test_case "contents and idempotence" `Quick

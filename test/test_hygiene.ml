@@ -119,6 +119,27 @@ let rules =
         contains_fragment [ "engine/fwd_monitor.ml"; "engine/session_core.ml" ];
       why = "probe through Session_core.monitor; walk fresh via Session_core.fresh_monitor";
     };
+    (* The per-advertisement hot path stays flat: channels, MRAI timers
+       and link state are arrays indexed by directed edge id, RIBs arrays
+       indexed by neighbour slot (Topology.edge / Topology.slot). A
+       Hashtbl here would bring back hashing a vertex tuple on every send,
+       advertise or link check. *)
+    {
+      name = "flat hot path: no Hashtbl in the session layer";
+      patterns = [ "Hashtbl" ];
+      dirs = [ "lib" ];
+      allowed =
+        (fun path ->
+          not
+            (contains_fragment
+               [
+                 "engine/session_core.ml";
+                 "engine/link_state.ml";
+                 "engine/path_vector.ml";
+               ]
+               path));
+      why = "index by Topology.edge / Topology.slot instead";
+    };
     (* Libraries report through Logs / Fmt / returned values; writing to
        stdout from lib/ corrupts machine-readable output (stamp_check
        --json, the bench JSON) and bypasses log levels. Executables own

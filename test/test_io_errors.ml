@@ -2,7 +2,8 @@
    Topo_io must reject truncated, malformed and inconsistent inputs with
    an [Invalid_argument] that names the problem and the (physical) line,
    and the Topology.Builder must refuse duplicate links whose
-   relationships disagree. The exact messages are asserted — they are the
+   relationships disagree; the session core refuses vertex pairs that
+   share no link. The exact messages are asserted — they are the
    user interface of every CLI that loads these files. *)
 
 let diamond = Test_support.diamond
@@ -188,6 +189,35 @@ let test_traffic_interval_and_bucket () =
   check_invalid "zero bucket" msg (observe ~interval:0.02 ~bucket:0.);
   check_invalid "negative bucket" msg (observe ~interval:0.02 ~bucket:(-1.))
 
+(* --- Session_core ------------------------------------------------------- *)
+
+(* Sending or advertising between two ASes that share no link names the
+   engine and the operation, instead of failing inside the edge-indexed
+   arrays (an out-of-bounds index or a bare Not_found). *)
+let test_session_not_adjacent () =
+  let topo = diamond () in
+  let v = Test_support.vtx topo in
+  let core : (unit, unit) Session_core.t =
+    Session_core.create ~who:"Probe_net" Engine.default_config (Sim.create ())
+      topo
+  in
+  (* 10 and 3 share no link; neither do 1 and 2 in the plain diamond *)
+  check_invalid "send" "Probe_net.send: vertices not adjacent" (fun () ->
+      Session_core.send core ~src:(v 10) ~dst:(v 3) ~kind:`Announce ());
+  check_invalid "send, other direction"
+    "Probe_net.send: vertices not adjacent" (fun () ->
+      Session_core.send core ~src:(v 2) ~dst:(v 1) ~kind:`Withdraw ());
+  check_invalid "advertise" "Probe_net.advertise: vertices not adjacent"
+    (fun () ->
+      Session_core.advertise core ~proc:0 ~src:(v 1) ~dst:(v 2) ~rib_out:[||]
+        (Some ()));
+  check_invalid "advertise a withdrawal"
+    "Probe_net.advertise: vertices not adjacent" (fun () ->
+      Session_core.advertise core ~proc:0 ~src:(v 3) ~dst:(v 10)
+        ~rib_out:[||] None);
+  check_invalid "link_state" "Link_state.fail_link: vertices not adjacent"
+    (fun () -> Link_state.fail_link (Link_state.create topo) (v 1) (v 2))
+
 let () =
   Alcotest.run "io_errors"
     [
@@ -217,6 +247,11 @@ let () =
           Alcotest.test_case "bad path files" `Quick test_topo_bad_paths;
           Alcotest.test_case "missing files raise Sys_error" `Quick
             test_missing_files;
+        ] );
+      ( "session",
+        [
+          Alcotest.test_case "non-adjacent pair" `Quick
+            test_session_not_adjacent;
         ] );
       ( "analysis",
         [

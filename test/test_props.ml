@@ -90,6 +90,103 @@ let prop_topology_rel_symmetric =
             (Topology.neighbors t u))
         (Topology.vertices t))
 
+(* --- Edge ids: the fast lookups against linear-scan references -------- *)
+
+(* [v]'s index in [u]'s neighbour array, by scanning *)
+let scan_slot t u v =
+  let a = Topology.neighbors t u in
+  let rec go i =
+    if i >= Array.length a then None
+    else if fst a.(i) = v then Some i
+    else go (i + 1)
+  in
+  go 0
+
+let prop_edge_ids =
+  Test_support.qtest ~count:30 "edge, slot, rel = linear scan"
+    Test_support.gen_params Test_support.print_params (fun p ->
+      let t = Topo_gen.generate p in
+      let n = Topology.num_vertices t in
+      let ids = ref [] in
+      let ok = ref (Topology.num_edges t = 2 * Topology.num_links t) in
+      for u = 0 to n - 1 do
+        for v = 0 to n - 1 do
+          let slot = Topology.slot t u v and edge = Topology.edge t u v in
+          match scan_slot t u v with
+          | Some s ->
+            ids := edge :: !ids;
+            if
+              slot <> s
+              || edge <> Topology.first_edge t u + s
+              || not
+                   (Option.equal Relationship.equal (Topology.rel t u v)
+                      (Some (snd (Topology.neighbors t u).(s))))
+            then ok := false
+          | None ->
+            if slot <> -1 || edge <> -1 || Topology.rel t u v <> None then
+              ok := false
+        done
+      done;
+      (* a bijection from ordered adjacent pairs onto 0 .. num_edges - 1 *)
+      !ok
+      && List.sort compare !ids = List.init (Topology.num_edges t) Fun.id)
+
+(* The edge-indexed link state against the pair set it replaced: a failed
+   link is its canonical (smaller, larger) pair; a pair that shares no
+   link is up iff both endpoints are. *)
+let prop_link_state_matches_pair_set =
+  Test_support.qtest ~count:30 "link state = pair-set reference"
+    QCheck2.Gen.(tup2 Test_support.gen_params (int_range 0 1_000_000))
+    QCheck2.Print.(tup2 Test_support.print_params int)
+    (fun (p, seed) ->
+      let t = Topo_gen.generate p in
+      let n = Topology.num_vertices t in
+      let st = Random.State.make [| seed |] in
+      let links = Link_state.create t in
+      let down = ref [] and node_down = Array.make n false in
+      let key u v = if u < v then (u, v) else (v, u) in
+      let reference u v =
+        (not node_down.(u)) && (not node_down.(v))
+        && not (List.mem (key u v) !down)
+      in
+      let agrees () =
+        List.sort_uniq compare !down = Link_state.failed_links links
+        && List.for_all
+             (fun u ->
+               List.for_all
+                 (fun v -> Link_state.link_up links u v = reference u v)
+                 (List.init n Fun.id))
+             (List.init n Fun.id)
+      in
+      let random_link () =
+        let u = Random.State.int st n in
+        let a = Topology.neighbors t u in
+        if Array.length a = 0 then None
+        else Some (u, fst a.(Random.State.int st (Array.length a)))
+      in
+      let step () =
+        match (Random.State.int st 4, random_link ()) with
+        | 0, Some (u, v) ->
+          Link_state.fail_link links u v;
+          down := key u v :: !down
+        | 1, Some (u, v) ->
+          Link_state.recover_link links u v;
+          down := List.filter (fun k -> k <> key u v) !down
+        | 2, _ ->
+          let v = Random.State.int st n in
+          Link_state.fail_node links v;
+          node_down.(v) <- true
+        | _, _ ->
+          let v = Random.State.int st n in
+          Link_state.recover_node links v;
+          node_down.(v) <- false
+      in
+      List.for_all
+        (fun _ ->
+          step ();
+          agrees ())
+        (List.init 30 Fun.id))
+
 (* --- Prefix ordering ----------------------------------------------------- *)
 
 let gen_prefix =
@@ -305,6 +402,7 @@ let () =
           prop_prefix_subsumes_partial_order;
           prop_prefix_string_roundtrip;
         ] );
+      ("edge ids", [ prop_edge_ids; prop_link_state_matches_pair_set ]);
       ("heap", [ prop_heap_is_stable_sort ]);
       ("valley", [ prop_decompose_partitions_path ]);
       ( "monitor",

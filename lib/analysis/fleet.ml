@@ -5,7 +5,7 @@ type t = {
   origins : Topology.vertex Lpm.t; (* prefix -> originating vertex *)
 }
 
-let build ?tables ?(validate = `Warn) topo =
+let build ?(validate = `Warn) topo =
   (* an any-to-any data plane exercises every destination, so pre-flight
      the whole topology (no spec: the per-origin checks sweep all ASes) *)
   (match validate with
@@ -13,11 +13,6 @@ let build ?tables ?(validate = `Warn) topo =
   | (`Warn | `Strict) as v ->
     Staticcheck.enforce ~what:"Fleet topology" v (Staticcheck.analyze topo));
   let n = Topology.num_vertices topo in
-  let tables =
-    match tables with
-    | Some f -> f
-    | None -> fun ~dest -> Static_route.compute topo ~dest
-  in
   let prefixes =
     Array.init n (fun v -> Prefix.of_asn (Topology.asn topo v))
   in
@@ -26,7 +21,7 @@ let build ?tables ?(validate = `Warn) topo =
   in
   let fibs = Array.make n Lpm.empty in
   for dest = 0 to n - 1 do
-    let table = tables ~dest in
+    let table = Static_route.compute topo ~dest in
     for v = 0 to n - 1 do
       if v <> dest then
         match Static_route.next_hop table v with

@@ -11,18 +11,10 @@
 
 type t
 
-val build :
-  ?tables:(dest:Topology.vertex -> Static_route.table) ->
-  ?validate:Staticcheck.validate ->
-  Topology.t ->
-  t
-(** Compute the stable routing for every destination AS and assemble the
-    FIBs. O(vertices × links) time, O(vertices²) space for the tables.
-    [tables] overrides the per-destination route source — by default the
-    {!Static_route} oracle, but any engine's converged tables (e.g.
-    {!Bgp_net.to_table} after running to quiescence) can be plugged in, so
-    the data plane is protocol-generic like the rest of the driver stack.
-    [validate] (default [`Warn]) pre-flights the {e whole} topology with
+val build : ?validate:Staticcheck.validate -> Topology.t -> t
+(** Compute the stable routing for every destination AS with the
+    {!Static_route} oracle and assemble the FIBs. O(vertices × links) time,
+    O(vertices²) space for the tables. [validate] (default [`Warn]) pre-flights the {e whole} topology with
     {!Staticcheck.analyze} — an any-to-any plane exercises every
     destination, so the per-origin checks sweep all ASes here.
     @raise Invalid_argument if some AS number exceeds 65535 (no prefix

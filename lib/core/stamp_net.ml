@@ -408,7 +408,6 @@ let path t color v =
   Option.map (fun (r : Route.t) -> v :: r.as_path) (best t color v)
 
 let has_both t v = best t Color.Red v <> None && best t Color.Blue v <> None
-let blue_is_locked t v = blue_lock_held t t.routers.(v)
 let unstable t color v = (proc t.routers.(v) color).unstable
 
 let in_use t v =

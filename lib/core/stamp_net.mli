@@ -90,10 +90,6 @@ val path : t -> Color.t -> Topology.vertex -> Topology.vertex list option
 val has_both : t -> Topology.vertex -> bool
 (** Whether both processes currently hold a route at this AS. *)
 
-val blue_is_locked : t -> Topology.vertex -> bool
-(** Whether the AS holds any blue route with the [Lock] attribute set
-    (its own origin route counts at the destination). *)
-
 val unstable : t -> Color.t -> Topology.vertex -> bool
 (** Whether the process is currently flagged unstable at this AS (it
     received a loss-caused update or an adjacent failure on its best). *)

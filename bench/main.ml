@@ -684,8 +684,8 @@ let micro cfg =
            for i = 0 to 999 do
              Event_heap.push h ~time:(float_of_int ((i * 7919) mod 997)) i
            done;
-           while Event_heap.pop_min h <> None do
-             ()
+           while not (Event_heap.is_empty h) do
+             ignore (Event_heap.pop h : int)
            done))
   in
   let bench_oracle =

@@ -6,28 +6,48 @@
 
 open Cmdliner
 
+(* The bad flag, checked before generating: [Topo_gen.generate]'s own
+   refusal names record fields, not flags. *)
+let bad_flag n tier1 mid_fraction stub_q mid_q max_providers peers =
+  let in_unit_interval x = 0. <= x && x < 1. in
+  if tier1 < 1 then Some "--tier1 must be at least 1"
+  else if n < tier1 + 2 then
+    Some (Printf.sprintf "-n must be at least --tier1 + 2 = %d" (tier1 + 2))
+  else if not (0. <= mid_fraction && mid_fraction <= 1.) then
+    Some "--mid-fraction must be in [0, 1]"
+  else if not (in_unit_interval stub_q) then
+    Some "--stub-multihoming must be in [0, 1)"
+  else if not (in_unit_interval mid_q) then
+    Some "--mid-multihoming must be in [0, 1)"
+  else if max_providers < 1 then Some "--max-providers must be at least 1"
+  else if not (0. <= peers) then Some "--peers must be at least 0"
+  else None
+
 let run n tier1 mid_fraction stub_q mid_q max_providers peers seed output
     stats =
-  let params =
-    {
-      Topo_gen.n;
-      n_tier1 = tier1;
-      mid_fraction;
-      stub_extra_provider_prob = stub_q;
-      mid_extra_provider_prob = mid_q;
-      max_providers;
-      peers_per_mid = peers;
-      seed;
-    }
-  in
-  let topo = Topo_gen.generate params in
-  (match output with
-  | Some path ->
-    Topo_io.save_relationships topo path;
-    Format.printf "wrote %s@." path
-  | None -> print_string (Topo_io.relationships_to_string topo));
-  if stats then Format.eprintf "%a@." Topology.pp_stats topo;
-  0
+  match bad_flag n tier1 mid_fraction stub_q mid_q max_providers peers with
+  | Some msg -> `Error (false, msg)
+  | None ->
+    let topo =
+      Topo_gen.generate
+        {
+          Topo_gen.n;
+          n_tier1 = tier1;
+          mid_fraction;
+          stub_extra_provider_prob = stub_q;
+          mid_extra_provider_prob = mid_q;
+          max_providers;
+          peers_per_mid = peers;
+          seed;
+        }
+    in
+    (match output with
+    | Some path ->
+      Topo_io.save_relationships topo path;
+      Format.printf "wrote %s@." path
+    | None -> print_string (Topo_io.relationships_to_string topo));
+    if stats then Format.eprintf "%a@." Topology.pp_stats topo;
+    `Ok 0
 
 let n =
   Arg.(value & opt int 1000 & info [ "n" ] ~docv:"N" ~doc:"Number of ASes.")
@@ -84,7 +104,8 @@ let cmd =
   Cmd.v
     (Cmd.info "gen_topo" ~doc)
     Term.(
-      const run $ n $ tier1 $ mid_fraction $ stub_q $ mid_q $ max_providers
-      $ peers $ seed $ output $ stats)
+      ret
+        (const run $ n $ tier1 $ mid_fraction $ stub_q $ mid_q $ max_providers
+       $ peers $ seed $ output $ stats))
 
 let () = exit (Cmd.eval' cmd)

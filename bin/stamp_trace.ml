@@ -16,9 +16,9 @@
 
 open Cmdliner
 
-(* Read one event per non-empty line; the parse error of a bad line is
-   re-raised with its line number so truncated or hand-edited files fail
-   with a usable message. *)
+(* Read one event per non-empty line. A bad line is a command-line error
+   naming the file and line, so truncated or hand-edited files fail with a
+   usable message; so is a file that cannot be read (a directory). *)
 let load_trace path =
   let ic = open_in path in
   Fun.protect
@@ -26,15 +26,15 @@ let load_trace path =
     (fun () ->
       let rec go lineno acc =
         match input_line ic with
-        | exception End_of_file -> List.rev acc
+        | exception End_of_file -> `Ok (List.rev acc)
+        | exception Sys_error msg ->
+          `Error (false, Printf.sprintf "%s: %s" path msg)
         | line when String.trim line = "" -> go (lineno + 1) acc
-        | line ->
-          let ev =
-            try Trace.of_json line
-            with Invalid_argument msg ->
-              Fmt.failwith "%s:%d: %s" path lineno msg
-          in
-          go (lineno + 1) (ev :: acc)
+        | line -> (
+          match Trace.of_json line with
+          | ev -> go (lineno + 1) (ev :: acc)
+          | exception Invalid_argument msg ->
+            `Error (false, Printf.sprintf "%s:%d: %s" path lineno msg))
       in
       go 1 [])
 
@@ -68,8 +68,7 @@ let record { Run_spec.topo; spec; protocol; seed; mrai } output summary =
 
 (* --- filter ------------------------------------------------------------- *)
 
-let filter file ases links kinds from_t until_t json =
-  let events = load_trace file in
+let filter events ases links kinds from_t until_t json =
   let link_matches (a, b) = function
     | Trace.Link (u, v) -> (u = a && v = b) || (u = b && v = a)
     | Trace.Net | Trace.Node _ -> false
@@ -86,17 +85,16 @@ let filter file ases links kinds from_t until_t json =
 
 (* --- timeline ----------------------------------------------------------- *)
 
-let timeline file json =
-  let tl = Timeline.of_events (load_trace file) in
+let timeline events json =
+  let tl = Timeline.of_events events in
   if json then print_endline (Timeline.to_json tl)
   else Format.printf "%a@." Timeline.pp tl;
   0
 
 (* --- diff --------------------------------------------------------------- *)
 
-let diff file_a file_b json =
-  let a = Trace.normalize (load_trace file_a)
-  and b = Trace.normalize (load_trace file_b) in
+let diff a b json =
+  let a = Trace.normalize a and b = Trace.normalize b in
   let ds = Trace.diff a b in
   if ds = [] then begin
     if not json then Format.printf "traces identical (%d events)@."
@@ -136,8 +134,12 @@ let diff file_a file_b json =
 
 (* --- command line ------------------------------------------------------- *)
 
+(* the events of the trace file at position [n] *)
 let trace_file_pos n doc =
-  Arg.(required & pos n (some file) None & info [] ~docv:"TRACE" ~doc)
+  Term.(
+    ret
+      (const load_trace
+      $ Arg.(required & pos n (some file) None & info [] ~docv:"TRACE" ~doc)))
 
 let json_flag =
   Arg.(value & flag & info [ "json" ] ~doc:"Emit JSONL instead of prose.")

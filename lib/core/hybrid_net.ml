@@ -1,7 +1,24 @@
 type ext = {
   upgraded : bool;
   mutable backup : Route.t option;  (** the blue table *)
+  pick : Decision.pick;  (** the cached blue-table pick *)
 }
+
+(* How many ASes of the best route's downhill segment (other than the
+   destination) an alternate's downhill segment shares. *)
+let backup_score (t : (ext, _, _) Path_vector.net) (r : ext Path_vector.router)
+    (best : Route.t) =
+  let best_down =
+    lazy (Valley.downhill_or_whole t.topo (r.v :: best.Route.as_path))
+  in
+  fun (alt : Route.t) ->
+    let best_down = Lazy.force best_down in
+    List.fold_left
+      (fun n x -> if x <> t.dest && List.mem x best_down then n + 1 else n)
+      0
+      (Valley.downhill_or_whole t.topo (r.v :: alt.as_path))
+
+let backup_keep best alt = not (Route.same_neighbor alt best)
 
 (* The RIB alternate most downhill-disjoint from the best route. The
    forwarding plane reads only its next hop, so the monitor is touched only
@@ -12,28 +29,9 @@ let recompute_backup (t : (ext, _, _) Path_vector.net)
     let backup =
       match r.best with
       | None -> None
-      | Some best -> begin
-        let downhill path =
-          match Valley.decompose t.topo path with
-          | _, down -> down
-          | exception Invalid_argument _ -> path
-        in
-        let best_down = downhill (r.v :: best.Route.as_path) in
-        let score (alt : Route.t) =
-          List.length
-            (List.filter
-               (fun x -> x <> t.dest && List.mem x best_down)
-               (downhill (r.v :: alt.as_path)))
-        in
-        (* a strict total order (ties fall to [Decision.better]), so the
-           slot order does not matter *)
-        Decision.select_by
-          ~keep:(fun alt -> not (Route.same_neighbor alt best))
-          (fun alt cur ->
-            let sa = score alt and sc = score cur in
-            sa < sc || (sa = sc && Decision.better alt cur))
-          r.adj_rib_in
-      end
+      | Some best ->
+        Path_vector.alternate r r.ext.pick ~keep:(backup_keep best)
+          ~score:(backup_score t r best)
     in
     let next b = Option.bind b Route.learned_from in
     if not (Option.equal Int.equal (next backup) (next r.ext.backup)) then
@@ -50,7 +48,8 @@ include Path_vector.Make (struct
   type params = Topology.vertex -> bool
 
   let who = "Hybrid_net"
-  let init deployed _ v = { upgraded = deployed v; backup = None }
+  let init deployed _ v =
+    { upgraded = deployed v; backup = None; pick = Decision.fresh_pick () }
   let decided t r ~old:_ = recompute_backup t r
   let reset (r : ext Path_vector.router) = r.ext.backup <- None
 end)
@@ -101,6 +100,18 @@ let forwarding (t : t) m =
     ~step
     ~state_id:(fun sw -> Bool.to_int sw)
     ~num_states:2
+
+let stale_picks (t : t) =
+  List.filter
+    (fun v ->
+      let r = t.routers.(v) in
+      match r.best with
+      | Some best when r.ext.upgraded ->
+        not
+          (Path_vector.alternate_agrees r r.ext.pick ~keep:(backup_keep best)
+             ~score:(backup_score t r best))
+      | Some _ | None -> false)
+    (List.init (Topology.num_vertices t.topo) Fun.id)
 
 let walk_all (t : t) = forwarding t (Session_core.fresh_monitor t.core)
 

@@ -65,6 +65,13 @@ val has_disjoint_backup : t -> Topology.vertex -> bool
     node-disjoint from its best route's (except the destination) — the
     protection unit the Section 6.3 analysis counts. *)
 
+val stale_picks : t -> Topology.vertex list
+(** Cross-check of the cached blue-table picks: the upgraded ASes, in
+    vertex order, whose cached pick differs from a full
+    {!Decision.select_by} rescan of their RIB (see
+    {!Path_vector.alternate_agrees}). Always empty unless the cache is
+    broken. *)
+
 val walk_all : t -> Fwd_walk.status array
 (** Packets follow best routes; an upgraded AS whose best is missing or
     physically broken re-colours the packet onto its backup. From there

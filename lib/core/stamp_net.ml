@@ -19,10 +19,27 @@ type process = {
       (** our next updates are consequences of a route loss (ET=0) *)
 }
 
+(* The part of the provider plan that is the same for every provider: the
+   locked blue route's designated provider ([-1] when no blue lock is
+   held or no provider is alive) and whether exactly one provider is
+   alive (the relay condition). It reads the blue RIB and the provider
+   links, which no advertisement changes, so one plan serves a whole
+   [sweep]. *)
+type plan = { designated : Topology.vertex; single_provider : bool }
+
+let no_plan = { designated = -1; single_provider = false }
+
+let plan_equal a b =
+  a.designated = b.designated && Bool.equal a.single_provider b.single_provider
+
 type router = {
   v : Topology.vertex;
   procs : process array; (* indexed by Color.to_int *)
   export_deny : bool array;
+  mutable swept : plan;
+      (** the plan of the last [sweep] or quiet delivery: while it and
+          both bests stand, every live slot without a pending MRAI flush
+          announces what the plan wants *)
 }
 
 type t = {
@@ -87,16 +104,6 @@ let alive_provider_count t r =
     0
     (Topology.providers t.topo r.v)
 
-(* The part of the provider plan that is the same for every provider: the
-   locked blue route's designated provider ([-1] when no blue lock is
-   held or no provider is alive) and whether exactly one provider is
-   alive (the relay condition). It reads the blue RIB and the provider
-   links, which no advertisement changes, so one plan serves a whole
-   [advertise_all]. *)
-type plan = { designated : Topology.vertex; single_provider : bool }
-
-let no_plan = { designated = -1; single_provider = false }
-
 let provider_plan t r =
   if Array.length (Topology.providers t.topo r.v) = 0 then no_plan
   else
@@ -150,23 +157,61 @@ let desired t r plan n to_rel color =
       else with_lock red_best ~lock:false
   end
 
-let advertise_to t r plan slot color =
+let want t r plan slot color =
   let n, to_rel = (Topology.neighbors t.topo r.v).(slot) in
-  let p = proc r color in
-  let want =
-    if r.export_deny.(slot) then None else desired t r plan n to_rel color
-  in
-  Session_core.advertise t.core ~proc:(Color.to_int color) ~src:r.v ~dst:n
-    ~rib_out:p.rib_out want
+  if r.export_deny.(slot) then None else desired t r plan n to_rel color
+
+let advertise_to t r plan slot color =
+  Session_core.advertise t.core ~proc:(Color.to_int color) ~src:r.v
+    ~dst:(fst (Topology.neighbors t.topo r.v).(slot))
+    ~slot ~rib_out:(proc r color).rib_out (want t r plan slot color)
 
 (* Colours in [Color.all] order per neighbour: the order the messages draw
    their delays in. *)
-let advertise_all t r =
-  let plan = provider_plan t r in
+let sweep t r plan =
+  r.swept <- plan;
   for slot = 0 to Array.length r.export_deny - 1 do
     advertise_to t r plan slot Color.Red;
     advertise_to t r plan slot Color.Blue
   done
+
+let advertise_all t r = sweep t r (provider_plan t r)
+
+let advertise_if_deferred t r plan slot color =
+  if
+    Session_core.flush_scheduled t.core ~src:r.v ~slot
+      ~proc:(Color.to_int color)
+  then advertise_to t r plan slot color
+
+(* The [sweep] of a delivery that changed neither best nor the plan:
+   every other slot already announces what it should, so only the slots
+   with a deferred announcement can act (send early or defer again), in
+   the same order. *)
+let sweep_deferred t r plan =
+  if Session_core.flush_pending t.core ~src:r.v then
+    for slot = 0 to Array.length r.export_deny - 1 do
+      advertise_if_deferred t r plan slot Color.Red;
+      advertise_if_deferred t r plan slot Color.Blue
+    done
+
+(* Whether [sweep_deferred] is all [sweep] would do: every live slot
+   without a pending flush already announces what [plan] wants. *)
+let quiet t r plan =
+  let nbrs = Topology.neighbors t.topo r.v in
+  let settled slot color =
+    Session_core.flush_scheduled t.core ~src:r.v ~slot
+      ~proc:(Color.to_int color)
+    || Option.equal same_announcement
+         (want t r plan slot color)
+         (proc r color).rib_out.(slot)
+  in
+  let rec from slot =
+    slot >= Array.length nbrs
+    || ((not (Session_core.link_up t.core r.v (fst nbrs.(slot))))
+       || (settled slot Color.Red && settled slot Color.Blue))
+       && from (slot + 1)
+  in
+  from 0
 
 (* --- decision -------------------------------------------------------- *)
 
@@ -243,8 +288,16 @@ let receive t r ~slot { color; body } =
               lock;
             }
     | Withdraw _ -> p.adj_rib_in.(slot) <- None);
+    let best = p.best in
     recompute t r color ~loss;
-    advertise_all t r
+    let plan = provider_plan t r in
+    if p.best == best && plan_equal plan r.swept then begin
+      (* the plan this delivery relied on (equal to [r.swept]): recorded
+         so that {!stale_slots} checks the skipped sweep against it *)
+      r.swept <- plan;
+      sweep_deferred t r plan
+    end
+    else sweep t r plan
   end
 
 (* --- construction ----------------------------------------------------- *)
@@ -267,6 +320,7 @@ let create sim topo ~dest ~coloring ?(spread_unlocked_blue = false) config =
                   loss_pending = false;
                 });
           export_deny = Array.make deg false;
+          swept = no_plan;
         })
   in
   (* procs:2 — one MRAI timer per colour per directed link, drawn in
@@ -274,7 +328,16 @@ let create sim topo ~dest ~coloring ?(spread_unlocked_blue = false) config =
   let core =
     Session_core.create ~procs:2 ~who:"Stamp_net" config sim topo
   in
-  let t = { core; topo; dest; coloring; spread_unlocked_blue; routers } in
+  let t =
+    {
+      core;
+      topo;
+      dest;
+      coloring;
+      spread_unlocked_blue;
+      routers;
+    }
+  in
   Session_core.install core
     {
       receive =
@@ -481,6 +544,19 @@ let announced t color v =
         (fun e -> (fst (Topology.neighbors t.topo v).(slot), e.lock))
         rib_out.(slot))
     (List.init (Array.length rib_out) Fun.id)
+
+(* ASes breaking the invariant quiet deliveries rely on: the plan of
+   their last sweep or quiet delivery is still current, but they would
+   not be quiet now. *)
+let stale_slots t =
+  List.filter
+      (fun v ->
+        let r = t.routers.(v) in
+        let plan = provider_plan t r in
+        Session_core.node_up t.core v
+        && plan_equal plan r.swept
+        && not (quiet t r plan))
+      (List.init (Topology.num_vertices t.topo) Fun.id)
 
 let message_count t = Session_core.message_count t.core
 let last_change t = Session_core.last_change t.core

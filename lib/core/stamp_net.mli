@@ -115,6 +115,16 @@ val announced : t -> Color.t -> Topology.vertex -> (Topology.vertex * bool) list
     check the selective-announcement invariants (red and blue never to the
     same provider; at most one locked blue provider). *)
 
+val stale_slots : t -> Topology.vertex list
+(** Cross-check of the quiet-delivery shortcut (a delivery that changes
+    neither best route nor the provider plan re-advertises only the slots
+    with a pending MRAI flush, as every other slot already announces what
+    the plan wants). The ASes that broke that claim, in vertex order: those
+    whose provider plan equals the one their last full re-advertisement or
+    quiet delivery used, but which announce, on a live link without a
+    pending flush, something else than that plan wants. Always empty
+    unless the shortcut is broken; it sends and schedules nothing. *)
+
 val message_count : t -> int
 (** Updates sent across both processes (the paper's Section 6.3 overhead
     metric: expected below twice the BGP count). *)

@@ -13,6 +13,7 @@ type 'ext router = {
   adj_rib_in : Route.t option array;
   rib_out : Route.t option array;
   export_deny : bool array;
+  mutable changed : int;
   ext : 'ext;
 }
 
@@ -33,6 +34,20 @@ let usable_next links v (route : Route.t option) =
     | Some _ | None -> None
   end
   | None -> None
+
+let rib_changed r slot =
+  r.changed <-
+    (if r.changed = Decision.no_change || r.changed = slot then slot
+     else Decision.several)
+
+let alternate r pick ~keep ~score =
+  let changed = r.changed in
+  r.changed <- Decision.no_change;
+  Decision.repick pick ~best:r.best ~changed ~keep ~score r.adj_rib_in
+
+let alternate_agrees r pick ~keep ~score =
+  r.changed <> Decision.no_change
+  || Decision.pick_agrees pick ~best:r.best ~keep ~score r.adj_rib_in
 
 module type PROTOCOL = sig
   type ext
@@ -103,8 +118,8 @@ module Make (P : PROTOCOL) = struct
         r.best
       | Some _ | None -> None
     in
-    Session_core.advertise t.core ~proc:0 ~src:r.v ~dst:n ~rib_out:r.rib_out
-      desired
+    Session_core.advertise t.core ~proc:0 ~src:r.v ~dst:n ~slot
+      ~rib_out:r.rib_out desired
 
   let advertise_all t r =
     for slot = 0 to Array.length r.rib_out - 1 do
@@ -141,6 +156,7 @@ module Make (P : PROTOCOL) = struct
       P.received t r ~slot msg;
       (match msg with
       | Announce { path; _ } ->
+        rib_changed r slot;
         if List.mem r.v path || P.reject r path then
           (* own AS in path (or rejected by the protocol): discard,
              dropping any previous route from the peer (implicit
@@ -153,7 +169,9 @@ module Make (P : PROTOCOL) = struct
                 Route.as_path = path;
                 cls = snd (Topology.neighbors t.topo r.v).(slot);
               }
-      | Withdraw _ -> r.adj_rib_in.(slot) <- None
+      | Withdraw _ ->
+        rib_changed r slot;
+        r.adj_rib_in.(slot) <- None
       | Extra _ -> ());
       recompute t r
     end
@@ -173,6 +191,7 @@ module Make (P : PROTOCOL) = struct
             adj_rib_in = Array.make deg None;
             rib_out = Array.make deg None;
             export_deny = Array.make deg false;
+            changed = Decision.no_change;
             ext = P.init params topo v;
           })
     in
@@ -202,6 +221,7 @@ module Make (P : PROTOCOL) = struct
 
   let drop_peer t r peer =
     let slot = Topology.slot t.topo r.v peer in
+    rib_changed r slot;
     r.adj_rib_in.(slot) <- None;
     r.rib_out.(slot) <- None;
     P.drop_peer r peer ~slot
@@ -234,6 +254,7 @@ module Make (P : PROTOCOL) = struct
     let r = t.routers.(v) in
     Array.fill r.adj_rib_in 0 (Array.length r.adj_rib_in) None;
     Array.fill r.rib_out 0 (Array.length r.rib_out) None;
+    r.changed <- Decision.several;
     r.best <- None;
     P.reset r;
     let cause = Node v in

@@ -42,6 +42,9 @@ type 'ext router = {
           [v :: as_path]) *)
   export_deny : bool array;
       (** neighbours this router's policy currently forbids exporting to *)
+  mutable changed : int;
+      (** the [adj_rib_in] slot that changed since the last {!alternate}:
+          {!Decision.no_change}, a slot, or {!Decision.several} *)
   ext : 'ext;  (** the protocol's per-router state *)
 }
 
@@ -51,6 +54,31 @@ type ('ext, 'tag, 'extra) net = {
   dest : Topology.vertex;
   routers : 'ext router array;
 }
+
+val rib_changed : 'ext router -> int -> unit
+(** Note that the [adj_rib_in] entry at a slot changed. The skeleton
+    notes every change it makes; a protocol that edits the RIB itself
+    (R-BGP's root-cause purge) notes its own. *)
+
+val alternate :
+  'ext router ->
+  Decision.pick ->
+  keep:(Route.t -> bool) ->
+  score:(Route.t -> int) ->
+  Route.t option
+(** The router's alternate route: {!Decision.repick} against its best
+    route and the RIB changes noted since the last call, which it
+    clears. *)
+
+val alternate_agrees :
+  'ext router ->
+  Decision.pick ->
+  keep:(Route.t -> bool) ->
+  score:(Route.t -> int) ->
+  bool
+(** Cross-check of {!alternate}'s cache: [true] when the RIB changed since
+    the last call (the next one re-decides), else
+    {!Decision.pick_agrees}. *)
 
 type step = [ `Forward of Topology.vertex * unit | `Drop | `Deliver ]
 (** One hop of the single-state forwarding walk ({!Fwd_walk}). *)

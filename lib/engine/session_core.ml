@@ -20,6 +20,7 @@ type ('msg, 'adv) t = {
       (* by directed edge id; set once in [create] (delivery closes over
          the core) *)
   mrais : Mrai.t array;  (* by [edge * procs + proc] *)
+  flushes : int array;  (* scheduled MRAI flushes, by source vertex *)
   monitor : Fwd_monitor.t;
   mutable last_change : float;
   mutable hooks : ('msg, 'adv) hooks;
@@ -72,6 +73,7 @@ let create ?(procs = 1) ~who
       procs;
       chans = [||];
       mrais;
+      flushes = Array.make (Topology.num_vertices topo) 0;
       monitor = Fwd_monitor.create (Topology.num_vertices topo);
       last_change = 0.;
       hooks =
@@ -166,10 +168,16 @@ let send core ~src ~dst ~kind msg =
    A deferred flush re-enters the engine through its [flush] hook, so the
    desired value is recomputed at flush time. Nothing here allocates
    unless a message is sent or a flush is scheduled. *)
-let advertise core ~proc ~src ~dst ~rib_out desired =
-  let e = edge_exn core ~op:"advertise" src dst in
+let advertise core ~proc ~src ~dst ~slot ~rib_out desired =
+  let e = Topology.first_edge core.topo src + slot in
+  if
+    slot < 0
+    || slot >= Topology.degree core.topo src
+    || Topology.head core.topo e <> dst
+  then
+    invalid_arg
+      (Printf.sprintf "%s.advertise: vertices not adjacent" core.who);
   if Link_state.edge_up core.links ~src ~dst e then begin
-    let slot = e - Topology.first_edge core.topo src in
     match (desired, rib_out.(slot)) with
     | None, None -> ()
     | None, Some _ ->
@@ -194,14 +202,22 @@ let advertise core ~proc ~src ~dst ~rib_out desired =
             (Trace.Mrai_defer { until = Mrai.next_allowed m; proc });
         if not (Mrai.flush_scheduled m) then begin
           Mrai.set_flush_scheduled m true;
+          core.flushes.(src) <- core.flushes.(src) + 1;
           Sim.schedule_at core.sim ~time:(Mrai.next_allowed m) (fun _ ->
               Mrai.set_flush_scheduled m false;
+              core.flushes.(src) <- core.flushes.(src) - 1;
               if Trace.enabled core.trace then
                 trace_link core src dst (Trace.Mrai_flush { proc });
               core.hooks.flush ~src ~dst ~slot ~proc)
         end
       end
   end
+
+let flush_pending core ~src = core.flushes.(src) > 0
+
+let flush_scheduled core ~src ~slot ~proc =
+  let e = Topology.first_edge core.topo src + slot in
+  Mrai.flush_scheduled core.mrais.((e * core.procs) + proc)
 
 let check_adjacent core ~op u v = ignore (edge_exn core ~op u v : int)
 

@@ -106,19 +106,29 @@ val advertise :
   proc:int ->
   src:Topology.vertex ->
   dst:Topology.vertex ->
+  slot:int ->
   rib_out:'adv option array ->
   'adv option ->
   unit
 (** The shared advertisement skeleton: compare the desired advertisement
     (what [dst] should currently hear, [None] for nothing) against
     [rib_out]'s record of what it last heard — [src]'s per-neighbour
-    array, indexed by [dst]'s slot — with the [equal] hook, then send the
-    delta — withdrawals immediately, announcements under the
+    array, indexed by [dst]'s [slot] at [src] — with the [equal] hook,
+    then send the delta — withdrawals immediately, announcements under the
     [(src, dst, proc)] MRAI timer, deferring with a single scheduled flush
     (the [flush] hook) when the timer is not ready. No-op while the link
-    is down.
+    is down. The link is found from [slot] without a search.
     @raise Invalid_argument ["<who>.advertise: vertices not adjacent"]
-    when the pair shares no link. *)
+    when [dst] is not the neighbour at [slot] of [src]. *)
+
+val flush_pending : ('msg, 'adv) t -> src:Topology.vertex -> bool
+(** Whether an MRAI flush is scheduled on any of [src]'s out-links, on
+    any process. *)
+
+val flush_scheduled :
+  ('msg, 'adv) t -> src:Topology.vertex -> slot:int -> proc:int -> bool
+(** Whether the MRAI flush of [src]'s link at [slot] on [proc] is
+    scheduled: what {!advertise} deferred there is still to be sent. *)
 
 (** {1 Failure bookkeeping} *)
 

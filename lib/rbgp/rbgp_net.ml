@@ -20,6 +20,7 @@ type ext = {
           forwarding along it until an alternative is learned *)
   mutable known_causes : cause list;
   mutable last_cause : cause option;
+  pick : Decision.pick;  (** the cached failover pick *)
 }
 
 let cause_equal a b =
@@ -51,37 +52,33 @@ let stale r path =
    (the destination is shared by all candidates, so it never affects the
    ranking), then the decision order. The recipient must not appear in the
    alternate. *)
-let pick_failover (r : ext router) (best : Route.t) ~recipient =
-  let shared (alt : Route.t) =
-    List.length
-      (List.filter (fun x -> List.mem x best.as_path) alt.Route.as_path)
-  in
-  Decision.select_by
-    ~keep:(fun (alt : Route.t) ->
-      not (Route.same_neighbor alt best || List.mem recipient alt.as_path))
-    (fun alt cur ->
-      let s = shared alt and sc = shared cur in
-      s < sc || (s = sc && Decision.better alt cur))
-    r.adj_rib_in
+let failover_keep (best : Route.t) ~recipient (alt : Route.t) =
+  not (Route.same_neighbor alt best || List.mem recipient alt.as_path)
 
-let update_failover (t : (ext, _, _) net) r =
-  let desired =
-    match r.best with
-    | None -> None
-    | Some b -> begin
-      match Route.learned_from b with
-      | None -> None (* destination itself *)
-      | Some nh -> begin
-        match pick_failover r b ~recipient:nh with
-        | None -> None
-        | Some alt -> Some (nh, r.v :: alt.Route.as_path)
-      end
-    end
+let shared (best : Route.t) (alt : Route.t) =
+  List.fold_left
+    (fun n x -> if List.mem x best.as_path then n + 1 else n)
+    0 alt.as_path
+
+let pick_failover r best ~recipient =
+  Path_vector.alternate r r.ext.pick
+    ~keep:(failover_keep best ~recipient)
+    ~score:(shared best)
+
+(* Advertise the failover path [alt] (to [recipient]), or none: nothing
+   is built unless it differs from the one last advertised. *)
+let set_failover (t : (ext, _, _) net) r ~recipient (alt : Route.t option) =
+  let unchanged =
+    match (alt, r.ext.failover_out) with
+    | None, None -> true
+    | Some a, Some (n, _ :: p) ->
+      n = recipient && (p == a.as_path || p = a.as_path)
+    | Some _, Some (_, []) | Some _, None | None, Some _ -> false
   in
-  match (desired, r.ext.failover_out) with
-  | None, None -> ()
-  | Some d, Some cur when d = cur -> ()
-  | _ ->
+  if not unchanged then begin
+    let desired =
+      Option.map (fun (a : Route.t) -> (recipient, r.v :: a.as_path)) alt
+    in
     (* withdraw from the previous receiver if it changes or disappears *)
     (match r.ext.failover_out with
     | Some (prev, _)
@@ -98,12 +95,24 @@ let update_failover (t : (ext, _, _) net) r =
         (Extra { path = Some p; rci = r.ext.last_cause })
     | Some _ | None -> ());
     r.ext.failover_out <- desired
+  end
+
+let update_failover t r =
+  match r.best with
+  | Some ({ as_path = nh :: _; _ } as b) ->
+    set_failover t r ~recipient:nh (pick_failover r b ~recipient:nh)
+  | Some { as_path = []; _ } (* destination itself *) | None ->
+    set_failover t r ~recipient:(-1) None
 
 (* --- RCI purge ------------------------------------------------------- *)
 
-let purge rib stale =
+let purge rib stale ~cleared =
   Array.iteri
-    (fun s -> function Some x when stale x -> rib.(s) <- None | _ -> ())
+    (fun s -> function
+      | Some x when stale x ->
+        rib.(s) <- None;
+        cleared s
+      | _ -> ())
     rib
 
 let learn_cause (t : (ext, _, _) net) r cause =
@@ -113,8 +122,11 @@ let learn_cause (t : (ext, _, _) net) r cause =
     x.known_causes <- cause :: x.known_causes;
     (* the purge edits the failover RIB and the withdrawn route *)
     Session_core.touch t.core r.v;
-    purge r.adj_rib_in (fun (rt : Route.t) -> path_hits_cause rt.as_path cause);
-    purge x.failover_rib (fun path -> path_hits_cause path cause);
+    purge r.adj_rib_in
+      (fun (rt : Route.t) -> path_hits_cause rt.as_path cause)
+      ~cleared:(Path_vector.rib_changed r);
+    purge x.failover_rib (fun path -> path_hits_cause path cause)
+      ~cleared:ignore;
     match x.withdrawn with
     | Some (w : Route.t) when path_hits_cause w.as_path cause ->
       x.withdrawn <- None
@@ -149,6 +161,7 @@ include Path_vector.Make (struct
       withdrawn = None;
       known_causes = [];
       last_cause = None;
+      pick = Decision.fresh_pick ();
     }
 
   (* updates carry the root cause of the event that triggered them *)
@@ -256,6 +269,19 @@ let forwarding t m =
         in
         first 0
       end)
+
+let stale_picks t =
+  List.filter
+    (fun v ->
+      let r = t.routers.(v) in
+      match r.best with
+      | Some ({ as_path = nh :: _; _ } as b) ->
+        not
+          (Path_vector.alternate_agrees r r.ext.pick
+             ~keep:(failover_keep b ~recipient:nh)
+             ~score:(shared b))
+      | Some { as_path = []; _ } | None -> false)
+    (List.init (Topology.num_vertices t.topo) Fun.id)
 
 let walk_all t = forwarding t (Session_core.fresh_monitor t.core)
 let no_rci = engine ~name:"R-BGP without RCI" ~forwarding false

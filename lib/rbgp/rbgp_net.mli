@@ -59,6 +59,12 @@ val failover_choices : t -> Topology.vertex -> Topology.vertex list list
     advertising neighbour), in the deterministic order the forwarding plane
     tries them. Exposed for tests. *)
 
+val stale_picks : t -> Topology.vertex list
+(** Cross-check of the cached failover picks: the ASes, in vertex order,
+    whose cached pick differs from a full {!Decision.select_by} rescan of
+    their RIB (see {!Path_vector.alternate_agrees}). Always empty unless
+    the cache is broken. *)
+
 val walk_all : t -> Fwd_walk.status array
 (** Forwarding status of every AS under R-BGP forwarding: primary next hop
     when available, then the withdrawn route's, otherwise deflection onto

@@ -1,82 +1,99 @@
-type 'a cell = { time : float; seq : int; payload : 'a }
-
+(* Structure of arrays: entry [i] is ([times.(i)], [seqs.(i)],
+   [payloads.(i)]). Times live in an unboxed float array, so pushing and
+   popping box nothing; sifting moves a hole instead of swapping. *)
 type 'a t = {
-  mutable data : 'a cell array;
+  mutable times : float array;
+  mutable seqs : int array;
+  mutable payloads : 'a array;
   mutable size : int;
   mutable next_seq : int;
-  empty : 'a cell;  (** occupies every slot at or beyond [size] *)
+  filler : 'a;  (** occupies every payload slot at or beyond [size] *)
 }
 
 let create ~filler =
-  {
-    data = [||];
-    size = 0;
-    next_seq = 0;
-    empty = { time = infinity; seq = max_int; payload = filler };
-  }
-
-let cell_lt a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+  { times = [||]; seqs = [||]; payloads = [||]; size = 0; next_seq = 0; filler }
 
 let grow t =
-  let cap = Array.length t.data in
-  if t.size = cap then begin
-    let new_cap = max 16 (cap * 2) in
-    let data = Array.make new_cap t.empty in
-    Array.blit t.data 0 data 0 t.size;
-    t.data <- data
-  end
+  let cap = Array.length t.times in
+  let new_cap = max 16 (cap * 2) in
+  let times = Array.make new_cap 0. and seqs = Array.make new_cap 0 in
+  let payloads = Array.make new_cap t.filler in
+  Array.blit t.times 0 times 0 t.size;
+  Array.blit t.seqs 0 seqs 0 t.size;
+  Array.blit t.payloads 0 payloads 0 t.size;
+  t.times <- times;
+  t.seqs <- seqs;
+  t.payloads <- payloads
 
 let push t ~time payload =
   if Float.is_nan time then invalid_arg "Event_heap.push: NaN time";
-  let cell = { time; seq = t.next_seq; payload } in
-  t.next_seq <- t.next_seq + 1;
-  grow t;
-  (* sift up *)
+  if t.size = Array.length t.times then grow t;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  let times = t.times and seqs = t.seqs and payloads = t.payloads in
+  (* sift the hole up from the end; [seq] is the largest so far, so on an
+     equal time the new entry never passes its parent *)
   let i = ref t.size in
   t.size <- t.size + 1;
-  t.data.(!i) <- cell;
   let continue = ref true in
   while !continue && !i > 0 do
     let parent = (!i - 1) / 2 in
-    if cell_lt t.data.(!i) t.data.(parent) then begin
-      let tmp = t.data.(parent) in
-      t.data.(parent) <- t.data.(!i);
-      t.data.(!i) <- tmp;
+    if time < times.(parent) then begin
+      times.(!i) <- times.(parent);
+      seqs.(!i) <- seqs.(parent);
+      payloads.(!i) <- payloads.(parent);
       i := parent
     end
     else continue := false
-  done
+  done;
+  times.(!i) <- time;
+  seqs.(!i) <- seq;
+  payloads.(!i) <- payload
 
-let pop_min t =
-  if t.size = 0 then None
-  else begin
-    let top = t.data.(0) in
-    t.size <- t.size - 1;
-    let last = t.data.(t.size) in
-    (* clear the vacated slot so the popped payload can be collected *)
-    t.data.(t.size) <- t.empty;
-    if t.size > 0 then begin
-      t.data.(0) <- last;
-      (* sift down *)
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < t.size && cell_lt t.data.(l) t.data.(!smallest) then smallest := l;
-        if r < t.size && cell_lt t.data.(r) t.data.(!smallest) then smallest := r;
-        if !smallest <> !i then begin
-          let tmp = t.data.(!smallest) in
-          t.data.(!smallest) <- t.data.(!i);
-          t.data.(!i) <- tmp;
-          i := !smallest
+let pop t =
+  if t.size = 0 then invalid_arg "Event_heap.pop: empty heap";
+  let times = t.times and seqs = t.seqs and payloads = t.payloads in
+  let top = payloads.(0) in
+  let n = t.size - 1 in
+  t.size <- n;
+  let time = times.(n) and seq = seqs.(n) and payload = payloads.(n) in
+  (* clear the vacated slot so the popped payload can be collected *)
+  payloads.(n) <- t.filler;
+  if n > 0 then begin
+    (* sift the hole down from the root and drop the last entry into it *)
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= n then continue := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if
+            r < n
+            && (times.(r) < times.(l)
+               || (times.(r) = times.(l) && seqs.(r) < seqs.(l)))
+          then r
+          else l
+        in
+        if times.(c) < time || (times.(c) = time && seqs.(c) < seq) then begin
+          times.(!i) <- times.(c);
+          seqs.(!i) <- seqs.(c);
+          payloads.(!i) <- payloads.(c);
+          i := c
         end
         else continue := false
-      done
-    end;
-    Some (top.time, top.payload)
-  end
+      end
+    done;
+    times.(!i) <- time;
+    seqs.(!i) <- seq;
+    payloads.(!i) <- payload
+  end;
+  top
 
-let peek_time t = if t.size = 0 then None else Some t.data.(0).time
+let min_time t =
+  if t.size = 0 then invalid_arg "Event_heap.min_time: empty heap";
+  t.times.(0)
+
 let size t = t.size
 let is_empty t = t.size = 0

@@ -1,7 +1,12 @@
 (** Binary min-heap of timestamped events with FIFO tie-breaking.
 
     Events pushed with equal timestamps pop in insertion order, which makes
-    simulations deterministic regardless of heap internals. *)
+    simulations deterministic regardless of heap internals.
+
+    Layout: times, insertion numbers and payloads sit in three parallel
+    arrays (times unboxed), and sifting moves a hole rather than swapping
+    entries, so {!push} allocates only when the arrays grow and {!pop} and
+    {!min_time} never allocate. *)
 
 type 'a t
 
@@ -12,11 +17,14 @@ val create : filler:'a -> 'a t
 val push : 'a t -> time:float -> 'a -> unit
 (** @raise Invalid_argument if [time] is NaN. *)
 
-val pop_min : 'a t -> (float * 'a) option
-(** Remove and return the earliest event ([None] when empty). *)
+val min_time : 'a t -> float
+(** Timestamp of the earliest event, which stays queued.
+    @raise Invalid_argument when the heap is empty. *)
 
-val peek_time : 'a t -> float option
-(** Timestamp of the earliest event without removing it. *)
+val pop : 'a t -> 'a
+(** Remove the earliest event and return its payload (its time is
+    {!min_time} just before the call).
+    @raise Invalid_argument when the heap is empty. *)
 
 val size : 'a t -> int
 

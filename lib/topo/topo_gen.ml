@@ -41,56 +41,85 @@ let draw_provider_count st ~base ~q ~cap =
   let rec loop k = if k >= cap || Random.State.float st 1. >= q then k else loop (k + 1) in
   loop base
 
-(* Weighted choice of [k] distinct provider ASNs among candidates, with
-   weight (customer count + 1) — preferential attachment. [customer_count]
-   is indexed by ASN. *)
-let choose_providers st ~k ~candidates ~customer_count =
-  let chosen = Hashtbl.create 8 in
-  let total_weight () =
-    Array.fold_left
-      (fun acc asn ->
-        if Hashtbl.mem chosen asn then acc
-        else acc +. float_of_int (customer_count.(asn) + 1))
-      0. candidates
-  in
-  let pick () =
-    let total = total_weight () in
-    if total <= 0. then None
+(* Preferential attachment over the transit ASNs [1..size]: each weighs
+   its customer count + 1, held in a Fenwick tree ([tree.(i)] sums the
+   weights of [(i - lowbit i) + 1 .. i]) so a weighted draw and a weight
+   update cost O(log n). *)
+type draws = { weight : int array; tree : int array (* both 1-based *) }
+
+let draws size =
+  let tree = Array.make (size + 1) 0 in
+  for i = 1 to size do
+    tree.(i) <- tree.(i) + 1;
+    let j = i + (i land -i) in
+    if j <= size then tree.(j) <- tree.(j) + tree.(i)
+  done;
+  { weight = Array.make (size + 1) 1; tree }
+
+let add d asn delta =
+  let i = ref asn in
+  while !i < Array.length d.tree do
+    d.tree.(!i) <- d.tree.(!i) + delta;
+    i := !i + (!i land - !i)
+  done
+
+let prefix d asn =
+  let i = ref asn and acc = ref 0 in
+  while !i > 0 do
+    acc := !acc + d.tree.(!i);
+    i := !i - (!i land - !i)
+  done;
+  !acc
+
+(* The smallest ASN whose weight prefix exceeds [r]: where a scan adding
+   the weights one by one first passes [r]. The weights are integers, so
+   the float comparisons are exact. *)
+let find d r =
+  let size = Array.length d.tree - 1 in
+  let step = ref 1 in
+  while 2 * !step <= size do
+    step := 2 * !step
+  done;
+  let pos = ref 0 and acc = ref 0 in
+  while !step > 0 do
+    let next = !pos + !step in
+    if next <= size && float_of_int (!acc + d.tree.(next)) <= r then begin
+      pos := next;
+      acc := !acc + d.tree.(next)
+    end;
+    step := !step / 2
+  done;
+  !pos + 1
+
+(* Weighted choice of [k] distinct provider ASNs among [1..among], with
+   weight (customer count + 1) — preferential attachment. A chosen ASN
+   weighs nothing until the draw is over. *)
+let choose_providers d st ~k ~among =
+  let rec loop i acc =
+    let total = prefix d among in
+    if i = 0 || total <= 0 then acc
     else begin
-      let r = Random.State.float st total in
-      let acc = ref 0. in
-      let found = ref None in
-      (try
-         Array.iter
-           (fun asn ->
-             if not (Hashtbl.mem chosen asn) then begin
-               acc := !acc +. float_of_int (customer_count.(asn) + 1);
-               if r < !acc then begin
-                 found := Some asn;
-                 raise Exit
-               end
-             end)
-           candidates
-       with Exit -> ());
-      (* numeric slack: fall back to the last unchosen candidate *)
-      match !found with
-      | Some _ as s -> s
-      | None ->
-        Array.fold_left
-          (fun acc asn -> if Hashtbl.mem chosen asn then acc else Some asn)
-          None candidates
+      let r = Random.State.float st (float_of_int total) in
+      let asn = find d r in
+      let asn =
+        if asn <= among then asn
+        else
+          (* [r] = [total] (the draw's bound is inclusive): the last
+             candidate still unchosen *)
+          let rec last a = if List.mem a acc then last (a - 1) else a in
+          last among
+      in
+      add d asn (-d.weight.(asn));
+      loop (i - 1) (asn :: acc)
     end
   in
-  let rec loop i acc =
-    if i = 0 then acc
-    else
-      match pick () with
-      | None -> acc
-      | Some asn ->
-        Hashtbl.replace chosen asn ();
-        loop (i - 1) (asn :: acc)
-  in
-  loop k []
+  let chosen = loop k [] in
+  List.iter (fun asn -> add d asn d.weight.(asn)) chosen;
+  chosen
+
+let add_customer d asn =
+  d.weight.(asn) <- d.weight.(asn) + 1;
+  add d asn 1
 
 let generate p =
   validate p;
@@ -105,7 +134,7 @@ let generate p =
   (* ASNs: tier-1 = 1..n_tier1, mid = n_tier1+1 .. n_tier1+n_mid, stubs after. *)
   let t1_lo = 1 and t1_hi = p.n_tier1 in
   let mid_lo = t1_hi + 1 and mid_hi = t1_hi + n_mid in
-  let customer_count = Array.make (p.n + 1) 0 in
+  let weights = draws mid_hi in
   (* Tier-1 clique: full mesh of peer links. *)
   for a = t1_lo to t1_hi do
     for a' = a + 1 to t1_hi do
@@ -114,22 +143,19 @@ let generate p =
   done;
   (* Special case: a single tier-1 has no links yet; attach it when its
      first customer arrives (below, candidates always include it). *)
-  let attach asn ~candidates ~base ~q =
+  let attach asn ~among ~base ~q =
     let k = draw_provider_count st ~base ~q ~cap:p.max_providers in
-    let provs = choose_providers st ~k ~candidates ~customer_count in
+    let provs = choose_providers weights st ~k ~among in
     List.iter
       (fun prov ->
         Topology.Builder.add_p2c b ~provider:prov ~customer:asn;
-        customer_count.(prov) <- customer_count.(prov) + 1)
+        add_customer weights prov)
       provs
   in
   (* Mid-tier ASes: providers among tier-1s and earlier mid ASes. *)
   for asn = mid_lo to mid_hi do
-    let candidates =
-      Array.init (asn - 1) (fun i -> i + 1)
-      (* all ASNs < asn are tier-1 or earlier mid: transit-capable *)
-    in
-    attach asn ~candidates ~base:2 ~q:p.mid_extra_provider_prob
+    (* all ASNs < asn are tier-1 or earlier mid: transit-capable *)
+    attach asn ~among:(asn - 1) ~base:2 ~q:p.mid_extra_provider_prob
   done;
   (* Lateral peering among mid-tier ASes. *)
   if n_mid >= 2 && p.peers_per_mid > 0. then begin
@@ -151,10 +177,8 @@ let generate p =
     done
   end;
   (* Stub ASes: providers among all transit ASes (tier-1 + mid). *)
-  let transit_candidates = Array.init mid_hi (fun i -> i + 1) in
   for asn = mid_hi + 1 to p.n do
-    attach asn ~candidates:transit_candidates ~base:1
-      ~q:p.stub_extra_provider_prob
+    attach asn ~among:mid_hi ~base:1 ~q:p.stub_extra_provider_prob
   done;
   ignore n_stub;
   Topology.Builder.build b

@@ -154,6 +154,7 @@ let rel t u v =
 
 let num_edges t = Array.length t.edge_dst
 let first_edge t u = t.edge_off.(u)
+let head t e = t.edge_dst.(e)
 
 let degree t v = Array.length t.adj.(v)
 let num_links t = t.num_links

@@ -98,6 +98,9 @@ val slot : t -> vertex -> vertex -> int
 (** [slot t u v] is [v]'s index in [neighbors t u], or [-1] if the pair
     shares no link. *)
 
+val head : t -> int -> vertex
+(** [head t e] is the vertex the directed edge [e] points to. *)
+
 val num_links : t -> int
 (** Number of undirected AS links. *)
 

@@ -69,6 +69,26 @@ let decompose t path =
         split 0 path
     end
 
+(* The same state machine as [is_valley_free], walked once: the first
+   provider->customer hop starts the downhill suffix. *)
+let downhill_or_whole t path =
+  let rec go state down = function
+    | u :: (v :: _ as rest) as here -> begin
+      let s = Topology.slot t u v in
+      if s < 0 then path
+      else
+        match (state, step_of_rel (snd (Topology.neighbors t u).(s))) with
+        | _, Side -> go state down rest
+        | `Uphill, Up -> go `Uphill down rest
+        | `Uphill, Flat -> go `Peered down rest
+        | (`Uphill | `Peered), Down -> go `Downhill here rest
+        | `Downhill, Down -> go `Downhill down rest
+        | (`Peered | `Downhill), (Up | Flat) -> path
+    end
+    | [] | [ _ ] -> down
+  in
+  go `Uphill [] path
+
 let downhill_nodes t path () =
   let _, down = decompose t path in
   List.sort_uniq compare down

@@ -33,6 +33,11 @@ val decompose :
     empty. When both are non-empty they share no vertex.
     @raise Invalid_argument if the path is not valley-free. *)
 
+val downhill_or_whole : Topology.t -> Topology.vertex list -> Topology.vertex list
+(** The downhill portion of {!decompose} — a suffix of the path itself,
+    so nothing is allocated — or the whole path when it is not a
+    valley-free path of [t] (where {!decompose} raises). *)
+
 val downhill_nodes : Topology.t -> Topology.vertex list -> unit -> int list
 (** [downhill_nodes t path ()] is the vertex set (as a sorted list) of the
     downhill portion of a valley-free path — the quantity over which STAMP

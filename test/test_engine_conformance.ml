@@ -499,6 +499,135 @@ let test_probe_reuses_unchanged () =
         (Engine.walk_all inst != first))
     (Engine.Registry.all ())
 
+(* --- cross-check: the delivery shortcuts against the full recompute ----- *)
+
+(* Every registered engine, built directly so that its caches can be
+   inspected. [stale] lists the ASes whose cached result differs from the
+   full recomputation: R-BGP's failover pick and the hybrid's blue table
+   against a {!Decision.select_by} rescan, STAMP's quiet deliveries
+   against a full re-advertisement (every slot without a pending MRAI
+   flush announces what the provider plan wants). BGP caches nothing. *)
+type hot_net = {
+  start : unit -> unit;
+  fail_link : Topology.vertex -> Topology.vertex -> unit;
+  recover_link : Topology.vertex -> Topology.vertex -> unit;
+  stale : unit -> Topology.vertex list;
+}
+
+let hot_net (type a) ~start ~fail_link ~recover_link ~stale (net : a) =
+  {
+    start = (fun () -> start net);
+    fail_link = fail_link net;
+    recover_link = recover_link net;
+    stale = (fun () -> stale net);
+  }
+
+let hot_rbgp ~rci sim t ~dest config =
+  hot_net ~start:Rbgp_net.start ~fail_link:Rbgp_net.fail_link
+    ~recover_link:Rbgp_net.recover_link ~stale:Rbgp_net.stale_picks
+    (Rbgp_net.create ~rci sim t ~dest config)
+
+let hot_hybrid ~deployed sim t ~dest config =
+  hot_net ~start:Hybrid_net.start ~fail_link:Hybrid_net.fail_link
+    ~recover_link:Hybrid_net.recover_link ~stale:Hybrid_net.stale_picks
+    (Hybrid_net.create ~deployed sim t ~dest config)
+
+let hot_engines =
+  [
+    ( "BGP",
+      fun sim t ~dest config ->
+        hot_net ~start:Bgp_net.start ~fail_link:Bgp_net.fail_link
+          ~recover_link:Bgp_net.recover_link
+          ~stale:(fun _ -> [])
+          (Bgp_net.create sim t ~dest config) );
+    ("R-BGP without RCI", hot_rbgp ~rci:false);
+    ("R-BGP", hot_rbgp ~rci:true);
+    ( "STAMP",
+      fun sim t ~dest (config : Engine.config) ->
+        let coloring =
+          Coloring.create Coloring.Random_choice ~seed:config.seed t ~dest
+        in
+        hot_net ~start:Stamp_net.start ~fail_link:Stamp_net.fail_link
+          ~recover_link:Stamp_net.recover_link ~stale:Stamp_net.stale_slots
+          (Stamp_net.create sim t ~dest ~coloring config) );
+    ( "STAMP-BGP hybrid (full deployment)",
+      hot_hybrid ~deployed:(fun _ -> true) );
+    ("hybrid, every other AS", hot_hybrid ~deployed:(fun v -> v mod 2 = 0));
+  ]
+
+(* Fig. 2-style single provider-link failures and link churn on generated
+   graphs, with immediate and slow failure detection. The disturbance
+   starts after initial convergence, whose own events are checked too.
+   The churn is fast (one link event a second) so that, under slow
+   detection, updates reach an AS while its own provider link is down but
+   not yet detected: a delivery then changes the provider plan without
+   changing a best route, the case STAMP's shortcut must not take. *)
+let hot_scenarios () =
+  List.concat_map
+    (fun (seed, n) ->
+      let t = Topo_gen.generate (Topo_gen.default_params ~seed ~n ()) in
+      let st = Random.State.make [| seed |] in
+      let single = Scenario.single_link st t in
+      let churn = Scenario.churn ~rate:1. ~duration:60. st t in
+      List.concat_map
+        (fun detect_delay ->
+          List.map
+            (fun (label, (spec : Scenario.spec)) ->
+              ( Printf.sprintf "n=%d seed %d, %s, detect %g s" n seed label
+                  detect_delay,
+                t,
+                spec,
+                detect_delay ))
+            [ ("single link", single); ("churn", churn) ])
+        [ 0.; 5. ])
+    [ (2, 60); (5, 90); (7, 150) ]
+
+let test_hot_path_caches () =
+  Alcotest.(check (list string))
+    "every registered engine is cross-checked"
+    (List.sort compare (Engine.Registry.names ()))
+    (List.sort compare
+       (List.filter
+          (fun name -> Engine.Registry.find name <> None)
+          (List.map fst hot_engines)));
+  List.iter
+    (fun (scenario, t, (spec : Scenario.spec), detect_delay) ->
+      List.iter
+        (fun (name, make) ->
+          let label = name ^ "/" ^ scenario in
+          let sim = Sim.create ~seed:3 () in
+          let config = { Engine.default_config with seed = 3; detect_delay } in
+          let net = make sim t ~dest:spec.dest config in
+          let steps = ref 0 and bad = ref 0 and first = ref None in
+          let run () =
+            while !steps < max_events && Sim.step sim do
+              incr steps;
+              match net.stale () with
+              | [] -> ()
+              | v :: _ ->
+                incr bad;
+                if !first = None then first := Some (!steps, Topology.asn t v)
+            done
+          in
+          net.start ();
+          run ();
+          let rec inject = function
+            | Scenario.Fail_link (u, v) -> net.fail_link u v
+            | Scenario.Recover_link (u, v) -> net.recover_link u v
+            | Scenario.At (dt, e) ->
+              Sim.schedule sim ~delay:dt (fun _ -> inject e)
+            | e ->
+              Alcotest.failf "unexpected event %a" (Scenario.pp_event t) e
+          in
+          List.iter inject spec.events;
+          run ();
+          Alcotest.(check (option (pair int int)))
+            (Printf.sprintf "%s: first (event, AS) of %d with a stale cache"
+               label !bad)
+            None !first)
+        hot_engines)
+    (hot_scenarios ())
+
 let () =
   Alcotest.run "engine_conformance"
     [
@@ -517,6 +646,11 @@ let () =
             test_probe_reuses_unchanged;
           Alcotest.test_case "R-BGP touches without a decision" `Quick
             test_rbgp_touches;
+        ] );
+      ( "hot path",
+        [
+          Alcotest.test_case "cached picks and quiet deliveries = full recompute"
+            `Quick test_hot_path_caches;
         ] );
       ( "registry",
         [ Alcotest.test_case "contents and idempotence" `Quick

@@ -209,11 +209,12 @@ let test_session_not_adjacent () =
       Session_core.send core ~src:(v 2) ~dst:(v 1) ~kind:`Withdraw ());
   check_invalid "advertise" "Probe_net.advertise: vertices not adjacent"
     (fun () ->
-      Session_core.advertise core ~proc:0 ~src:(v 1) ~dst:(v 2) ~rib_out:[||]
+      Session_core.advertise core ~proc:0 ~src:(v 1) ~dst:(v 2) ~slot:0
+        ~rib_out:[||]
         (Some ()));
   check_invalid "advertise a withdrawal"
     "Probe_net.advertise: vertices not adjacent" (fun () ->
-      Session_core.advertise core ~proc:0 ~src:(v 3) ~dst:(v 10)
+      Session_core.advertise core ~proc:0 ~src:(v 3) ~dst:(v 10) ~slot:0
         ~rib_out:[||] None);
   check_invalid "link_state" "Link_state.fail_link: vertices not adjacent"
     (fun () -> Link_state.fail_link (Link_state.create topo) (v 1) (v 2))

@@ -230,9 +230,10 @@ let prop_heap_is_stable_sort =
       let h = Event_heap.create ~filler:0 in
       List.iteri (fun i t -> Event_heap.push h ~time:(float_of_int t) i) times;
       let rec drain acc =
-        match Event_heap.pop_min h with
-        | None -> List.rev acc
-        | Some (t, i) -> drain ((t, i) :: acc)
+        if Event_heap.is_empty h then List.rev acc
+        else
+          let t = Event_heap.min_time h in
+          drain ((t, Event_heap.pop h) :: acc)
       in
       let got = drain [] in
       let expected =
@@ -258,6 +259,35 @@ let prop_decompose_partitions_path =
             let up, down = Valley.decompose t path in
             up @ down = path)
         (Topology.vertices t))
+
+(* The hybrid's allocation-free downhill segment against [decompose], on
+   random walks through the graph (valley-free or not) and on vertex
+   sequences that are not paths at all. *)
+let prop_downhill_or_whole =
+  Test_support.qtest ~count:30 "valley: downhill_or_whole = decompose's downhill"
+    Test_support.gen_params Test_support.print_params (fun p ->
+      let t = Topo_gen.generate p in
+      let n = Topology.num_vertices t in
+      let st = Random.State.make [| p.Topo_gen.seed + 5 |] in
+      let walk () =
+        let rec go v k =
+          let nbrs = Topology.neighbors t v in
+          if k = 0 || Array.length nbrs = 0 then [ v ]
+          else
+            v :: go (fst nbrs.(Random.State.int st (Array.length nbrs))) (k - 1)
+        in
+        go (Random.State.int st n) (Random.State.int st 8)
+      in
+      let jumble () = List.init (Random.State.int st 4) (fun _ -> Random.State.int st n) in
+      List.for_all
+        (fun path ->
+          let reference =
+            match Valley.decompose t path with
+            | _, down -> down
+            | exception Invalid_argument _ -> path
+          in
+          Valley.downhill_or_whole t path = reference)
+        (List.init 200 (fun i -> if i mod 10 = 0 then jumble () else walk ())))
 
 (* --- Fwd_monitor: incremental probe = full walk ------------------------ *)
 
@@ -404,7 +434,7 @@ let () =
         ] );
       ("edge ids", [ prop_edge_ids; prop_link_state_matches_pair_set ]);
       ("heap", [ prop_heap_is_stable_sort ]);
-      ("valley", [ prop_decompose_partitions_path ]);
+      ("valley", [ prop_decompose_partitions_path; prop_downhill_or_whole ]);
       ( "monitor",
         [
           prop_monitor_matches_full_walk;

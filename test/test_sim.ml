@@ -2,16 +2,23 @@
 
 (* --- Event_heap ------------------------------------------------------ *)
 
+(* the earliest (time, payload), removed; [None] when empty *)
+let pop_min h =
+  if Event_heap.is_empty h then None
+  else
+    let time = Event_heap.min_time h in
+    Some (time, Event_heap.pop h)
+
 let test_heap_ordering () =
   let h = Event_heap.create ~filler:"" in
   Event_heap.push h ~time:3. "c";
   Event_heap.push h ~time:1. "a";
   Event_heap.push h ~time:2. "b";
-  let pop () = Option.get (Event_heap.pop_min h) in
+  let pop () = Option.get (pop_min h) in
   Alcotest.(check (pair (float 0.) string)) "first" (1., "a") (pop ());
   Alcotest.(check (pair (float 0.) string)) "second" (2., "b") (pop ());
   Alcotest.(check (pair (float 0.) string)) "third" (3., "c") (pop ());
-  Alcotest.(check bool) "empty" true (Event_heap.pop_min h = None)
+  Alcotest.(check bool) "empty" true (pop_min h = None)
 
 let test_heap_fifo_ties () =
   let h = Event_heap.create ~filler:0 in
@@ -19,7 +26,7 @@ let test_heap_fifo_ties () =
     Event_heap.push h ~time:1. i
   done;
   for i = 0 to 9 do
-    match Event_heap.pop_min h with
+    match pop_min h with
     | Some (_, x) -> Alcotest.(check int) "fifo" i x
     | None -> Alcotest.fail "heap empty"
   done
@@ -31,9 +38,13 @@ let test_heap_nan_rejected () =
 
 let test_heap_peek () =
   let h = Event_heap.create ~filler:() in
-  Alcotest.(check bool) "empty peek" true (Event_heap.peek_time h = None);
+  Alcotest.check_raises "empty peek"
+    (Invalid_argument "Event_heap.min_time: empty heap") (fun () ->
+      ignore (Event_heap.min_time h));
+  Alcotest.check_raises "empty pop" (Invalid_argument "Event_heap.pop: empty heap")
+    (fun () -> Event_heap.pop h);
   Event_heap.push h ~time:5. ();
-  Alcotest.(check bool) "peek" true (Event_heap.peek_time h = Some 5.);
+  Alcotest.(check (float 0.)) "peek" 5. (Event_heap.min_time h);
   Alcotest.(check int) "size" 1 (Event_heap.size h)
 
 (* Popped payloads must not stay reachable through the heap's vacated
@@ -51,7 +62,7 @@ let test_heap_releases_popped () =
     done
   in
   let[@inline never] pop_all () =
-    while Option.is_some (Event_heap.pop_min h) do
+    while Option.is_some (pop_min h) do
       ()
     done
   in
@@ -66,6 +77,75 @@ let test_heap_releases_popped () =
   (* the heap itself is still live here *)
   Alcotest.(check int) "drained" 0 (Event_heap.size h)
 
+(* The same, with the heap still holding entries: the slot a pop vacates
+   (between the size and the capacity) must not keep the payload either. *)
+let test_heap_releases_popped_interleaved () =
+  let n = 100 in
+  let h = Event_heap.create ~filler:(ref (-1)) in
+  let tracked = Weak.create n in
+  let[@inline never] push_all () =
+    for i = 0 to n - 1 do
+      let payload = ref i in
+      Weak.set tracked i (Some payload);
+      Event_heap.push h ~time:(float_of_int (i mod 10)) payload
+    done
+  in
+  let[@inline never] pop_half () =
+    List.init (n / 2) (fun _ -> !(Event_heap.pop h))
+  in
+  push_all ();
+  let popped = pop_half () in
+  Gc.full_major ();
+  List.iter
+    (fun i ->
+      Alcotest.(check bool)
+        (Printf.sprintf "popped payload %d collected" i)
+        false (Weak.check tracked i))
+    popped;
+  Alcotest.(check int) "the rest stays queued" (n / 2) (Event_heap.size h);
+  Alcotest.(check int) "queued payloads alive" (n / 2)
+    (List.length
+       (List.filter (Weak.check tracked)
+          (List.filter (fun i -> not (List.mem i popped)) (List.init n Fun.id))))
+
+(* Model check: any interleaving of pushes and pops behaves like a list
+   kept stably sorted by time — equal times pop in insertion order. Times
+   are drawn from a small range so ties are common, and runs of up to 300
+   pushes grow the arrays well past their initial capacity of 16. *)
+let prop_heap_model =
+  Test_support.qtest ~count:200 "heap = stable sort model under push/pop"
+    QCheck2.Gen.(
+      list_size (int_range 0 400)
+        (frequency [ (3, map Option.some (int_range 0 12)); (1, pure None) ]))
+    QCheck2.Print.(list (option int))
+    (fun ops ->
+      let h = Event_heap.create ~filler:(-1) in
+      let model = ref [] (* (time, id), kept stably sorted *) in
+      let next = ref 0 in
+      List.for_all
+        (function
+          | Some time ->
+            let id = !next in
+            incr next;
+            Event_heap.push h ~time:(float_of_int time) id;
+            model :=
+              List.stable_sort
+                (fun (a, _) (b, _) -> compare a b)
+                (!model @ [ (time, id) ]);
+            Event_heap.size h = List.length !model
+          | None -> (
+            match (!model, pop_min h) with
+            | [], None -> true
+            | (t, id) :: rest, Some (t', id') ->
+              model := rest;
+              float_of_int t = t' && id = id'
+            | [], Some _ | _ :: _, None -> false))
+        ops
+      && List.for_all
+           (fun (t, id) -> pop_min h = Some (float_of_int t, id))
+           !model
+      && Event_heap.is_empty h)
+
 let prop_heap_sorts =
   Test_support.qtest "heap pops in nondecreasing time order"
     QCheck2.Gen.(list_size (int_range 1 200) (float_range 0. 100.))
@@ -74,7 +154,7 @@ let prop_heap_sorts =
       let h = Event_heap.create ~filler:() in
       List.iter (fun t -> Event_heap.push h ~time:t ()) times;
       let rec drain last =
-        match Event_heap.pop_min h with
+        match pop_min h with
         | None -> true
         | Some (t, ()) -> t >= last && drain t
       in
@@ -335,7 +415,10 @@ let () =
           Alcotest.test_case "peek/size" `Quick test_heap_peek;
           Alcotest.test_case "popped payloads are released" `Quick
             test_heap_releases_popped;
+          Alcotest.test_case "popped payloads released, heap non-empty" `Quick
+            test_heap_releases_popped_interleaved;
           prop_heap_sorts;
+          prop_heap_model;
         ] );
       ( "sim",
         [

@@ -93,6 +93,155 @@ let prop_generator_deterministic =
       let t1 = Topo_gen.generate p and t2 = Topo_gen.generate p in
       Topo_io.relationships_to_string t1 = Topo_io.relationships_to_string t2)
 
+(* --- the Fenwick provider draw against the linear scan it replaced ------ *)
+
+(* The generator as it was with the linear weighted scan (a Hashtbl.mem per
+   candidate per pick), kept verbatim as the reference: the Fenwick-tree
+   draw must pick the same providers in the same order, so the generated
+   topology is the same byte for byte. *)
+module Scan_reference = struct
+  let choose_providers st ~k ~candidates ~customer_count =
+    let chosen = Hashtbl.create 8 in
+    let total_weight () =
+      Array.fold_left
+        (fun acc asn ->
+          if Hashtbl.mem chosen asn then acc
+          else acc +. float_of_int (customer_count.(asn) + 1))
+        0. candidates
+    in
+    let pick () =
+      let total = total_weight () in
+      if total <= 0. then None
+      else begin
+        let r = Random.State.float st total in
+        let acc = ref 0. in
+        let found = ref None in
+        (try
+           Array.iter
+             (fun asn ->
+               if not (Hashtbl.mem chosen asn) then begin
+                 acc := !acc +. float_of_int (customer_count.(asn) + 1);
+                 if r < !acc then begin
+                   found := Some asn;
+                   raise Exit
+                 end
+               end)
+             candidates
+         with Exit -> ());
+        match !found with
+        | Some _ as s -> s
+        | None ->
+          Array.fold_left
+            (fun acc asn -> if Hashtbl.mem chosen asn then acc else Some asn)
+            None candidates
+      end
+    in
+    let rec loop i acc =
+      if i = 0 then acc
+      else
+        match pick () with
+        | None -> acc
+        | Some asn ->
+          Hashtbl.replace chosen asn ();
+          loop (i - 1) (asn :: acc)
+    in
+    loop k []
+
+  let draw_provider_count st ~base ~q ~cap =
+    let rec loop k =
+      if k >= cap || Random.State.float st 1. >= q then k else loop (k + 1)
+    in
+    loop base
+
+  let generate (p : Topo_gen.params) =
+    let st = Random.State.make [| p.seed |] in
+    let b = Topology.Builder.create () in
+    let n_non_t1 = p.n - p.n_tier1 in
+    let n_mid =
+      min (n_non_t1 - 1)
+        (max 1
+           (int_of_float (Float.round (float_of_int n_non_t1 *. p.mid_fraction))))
+    in
+    let t1_hi = p.n_tier1 in
+    let mid_lo = t1_hi + 1 and mid_hi = t1_hi + n_mid in
+    let customer_count = Array.make (p.n + 1) 0 in
+    for a = 1 to t1_hi do
+      for a' = a + 1 to t1_hi do
+        Topology.Builder.add_p2p b a a'
+      done
+    done;
+    let attach asn ~candidates ~base ~q =
+      let k = draw_provider_count st ~base ~q ~cap:p.max_providers in
+      List.iter
+        (fun prov ->
+          Topology.Builder.add_p2c b ~provider:prov ~customer:asn;
+          customer_count.(prov) <- customer_count.(prov) + 1)
+        (choose_providers st ~k ~candidates ~customer_count)
+    in
+    for asn = mid_lo to mid_hi do
+      attach asn
+        ~candidates:(Array.init (asn - 1) (fun i -> i + 1))
+        ~base:2 ~q:p.mid_extra_provider_prob
+    done;
+    if n_mid >= 2 && p.peers_per_mid > 0. then begin
+      let n_peer_links =
+        int_of_float (Float.round (float_of_int n_mid *. p.peers_per_mid /. 2.))
+      in
+      let attempts = ref 0 and added = ref 0 in
+      while !added < n_peer_links && !attempts < n_peer_links * 20 do
+        incr attempts;
+        let a = mid_lo + Random.State.int st n_mid in
+        let a' = mid_lo + Random.State.int st n_mid in
+        if a <> a' then
+          try
+            Topology.Builder.add_p2p b a a';
+            incr added
+          with Invalid_argument _ -> ()
+      done
+    end;
+    let transit_candidates = Array.init mid_hi (fun i -> i + 1) in
+    for asn = mid_hi + 1 to p.n do
+      attach asn ~candidates:transit_candidates ~base:1
+        ~q:p.stub_extra_provider_prob
+    done;
+    Topology.Builder.build b
+end
+
+(* Half the cases pin a single tier-1 AS or a single provider per AS;
+   high multi-homing probabilities make draws of several distinct
+   providers (and exhaust small candidate sets). *)
+let gen_draw_params =
+  QCheck2.Gen.(
+    let* n = int_range 3 400 in
+    let* n_tier1 = frequency [ (1, pure 1); (2, int_range 1 (min 10 (n - 2))) ] in
+    let* max_providers = frequency [ (1, pure 1); (2, int_range 1 8) ] in
+    let* mid_fraction = float_range 0. 1. in
+    let* stub_q = float_range 0. 0.95 in
+    let* mid_q = float_range 0. 0.95 in
+    let* peers = float_range 0. 3. in
+    let* seed = int_range 0 1_000_000 in
+    return
+      {
+        Topo_gen.n;
+        n_tier1;
+        mid_fraction;
+        stub_extra_provider_prob = stub_q;
+        mid_extra_provider_prob = mid_q;
+        max_providers;
+        peers_per_mid = peers;
+        seed;
+      })
+
+let prop_fenwick_draw_matches_scan =
+  Test_support.qtest ~count:300 "Fenwick provider draw = linear scan reference"
+    gen_draw_params
+    (fun p ->
+      Test_support.print_params p
+      ^ Printf.sprintf " max_providers=%d" p.Topo_gen.max_providers)
+    (fun p ->
+      Topo_io.relationships_to_string (Topo_gen.generate p)
+      = Topo_io.relationships_to_string (Scan_reference.generate p))
+
 let test_generator_tier1_clique () =
   let t = Topo_gen.generate (Topo_gen.default_params ~n:200 ()) in
   let t1s = Topology.tier1s t in
@@ -351,6 +500,7 @@ let () =
         [
           prop_generator_invariants;
           prop_generator_deterministic;
+          prop_fenwick_draw_matches_scan;
           Alcotest.test_case "tier1 clique" `Quick test_generator_tier1_clique;
           Alcotest.test_case "multihoming" `Quick
             test_generator_multihoming_present;

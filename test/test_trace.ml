@@ -17,13 +17,14 @@ let vtx = Test_support.vtx
 
 let golden_seed = 7
 
-(* (filename stem, protocol) — stable stems, not display names *)
-let golden_protocols =
+(* (filename stem, engine) — stable stems, not display names *)
+let golden_protocols : (string * (module Engine.S)) list =
   [
-    ("bgp", Runner.Bgp);
-    ("rbgp_norci", Runner.Rbgp_no_rci);
-    ("rbgp", Runner.Rbgp);
-    ("stamp", Runner.Stamp);
+    ("bgp", Runner.engine_of_protocol Runner.Bgp);
+    ("rbgp_norci", Runner.engine_of_protocol Runner.Rbgp_no_rci);
+    ("rbgp", Runner.engine_of_protocol Runner.Rbgp);
+    ("stamp", Runner.engine_of_protocol Runner.Stamp);
+    ("hybrid", Hybrid_net.full);
   ]
 
 let golden_scenarios topo =
@@ -37,10 +38,10 @@ let golden_scenarios topo =
       ] );
   ]
 
-let run_traced ?(seed = golden_seed) protocol topo events =
+let run_traced ?(seed = golden_seed) engine topo events =
   let spec = { Scenario.dest = vtx topo 3; events; detect_delay = None } in
   let trace = Trace.memory () in
-  let r = Runner.run ~seed ~validate:`Off ~trace protocol topo spec in
+  let r = Runner.run_engine ~seed ~validate:`Off ~trace engine topo spec in
   (r, Trace.events trace)
 
 (* --- sink mechanics ----------------------------------------------------- *)
@@ -476,7 +477,7 @@ let test_differential_generated =
 let test_timeline_shape () =
   let topo = Test_support.diamond_plus () in
   let r, events =
-    run_traced Runner.Bgp topo
+    run_traced (module Bgp_net) topo
       (List.assoc "link_failure" (golden_scenarios topo))
   in
   let tl = Option.get r.Runner.timeline in
@@ -582,6 +583,57 @@ let test_golden_traces () =
           (golden_scenarios topo))
       golden_protocols
 
+(* --- trace digests at scale ----------------------------------------------- *)
+
+(* The diamond_plus fixture has no AS with more than four neighbours and
+   quiesces within one MRAI round. One digest per registered engine and
+   scenario pins the whole normalised trace of a generated n=300 graph —
+   a single provider-link failure and a link churn stream, which reach
+   high-degree routers and MRAI flushes that fire while further updates
+   arrive. Stored in golden/digests.txt as "<md5> <scenario> <engine>". *)
+let digest_scenarios () =
+  let topo = Topo_gen.generate (Topo_gen.default_params ~seed:3 ~n:300 ()) in
+  let st = Random.State.make [| 11 |] in
+  let single = Scenario.single_link st topo in
+  let churn = Scenario.churn ~rate:0.05 ~duration:300. st topo in
+  (topo, [ ("n300_single_link", single); ("n300_churn", churn) ])
+
+let digest_lines () =
+  let topo, scenarios = digest_scenarios () in
+  List.concat_map
+    (fun (name, engine) ->
+      List.map
+        (fun (scenario_name, spec) ->
+          let trace = Trace.memory () in
+          ignore
+            (Runner.run_engine ~seed:golden_seed ~validate:`Off ~trace engine
+               topo spec);
+          let jsonl =
+            String.concat "\n"
+              (List.map Trace.to_json (Trace.normalize (Trace.events trace)))
+          in
+          Printf.sprintf "%s %s %s"
+            (Digest.to_hex (Digest.string jsonl))
+            scenario_name name)
+        scenarios)
+    (Engine.Registry.all ())
+
+let digests_file = "digests.txt"
+
+let test_trace_digests () =
+  match Sys.getenv_opt "TRACE_GOLDEN" with
+  | Some dir ->
+    let oc = open_out (Filename.concat dir digests_file) in
+    List.iter (fun l -> output_string oc (l ^ "\n")) (digest_lines ());
+    close_out oc
+  | None ->
+    let dir = Option.get (golden_dir ()) in
+    Alcotest.(check (list string))
+      "trace digests (regenerate with TRACE_GOLDEN=$PWD/test/golden after a \
+       deliberate change)"
+      (read_lines (Filename.concat dir digests_file))
+      (digest_lines ())
+
 let () =
   Alcotest.run "trace"
     [
@@ -619,5 +671,10 @@ let () =
           test_differential_generated;
           Alcotest.test_case "timeline shape" `Quick test_timeline_shape;
         ] );
-      ("golden", [ Alcotest.test_case "diamond_plus traces" `Quick test_golden_traces ]);
+      ( "golden",
+        [
+          Alcotest.test_case "diamond_plus traces" `Quick test_golden_traces;
+          Alcotest.test_case "n=300 trace digests, all engines" `Quick
+            test_trace_digests;
+        ] );
     ]
